@@ -136,8 +136,10 @@ SESSION FLAGS (campaign only):
                     a seeded schedule, so the output carries its own cold
                     baseline). Warm records gain a \"conn_mode\" JSON key
                     (cold|resumed|reused); see report::ReuseAblation for
-                    the per-protocol ablation table. Mutually exclusive
-                    with --load.
+                    the per-protocol ablation table. Combines with
+                    --load: a pooled connection is only reused on the
+                    site it was opened to, so a load spill to another
+                    site resumes (or opens cold) instead.
 ";
 
 /// Fetches the value following `--flag`, if present.

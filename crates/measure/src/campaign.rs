@@ -17,14 +17,15 @@ use std::collections::BinaryHeap;
 use detlint_macros::deny_alloc;
 use dns_wire::Name;
 use netsim::rng::SimRng;
-use obs::{Label, MetricsRegistry, MetricsSnapshot, Phase};
+use netsim::SimTime;
+use obs::{Label, MetricsRegistry, MetricsSnapshot, Phase, SpanLog};
 
 use crate::config::CampaignConfig;
 use crate::context::PairContext;
-use crate::population::PairLoad;
-use crate::probe::{ProbeTarget, Prober};
+use crate::population::{LoadModel, PairLoad};
+use crate::probe::{ProbeRun, ProbeTarget, Prober};
 use crate::results::{ProbeOutcome, ProbeRecord};
-use crate::session::SessionState;
+use crate::session::{SessionConfig, SessionState};
 use crate::vantage::Vantage;
 
 /// A completed campaign: all records plus the configuration that made them.
@@ -420,37 +421,100 @@ impl Campaign {
     /// returning its records in canonical (time, domain) order.
     ///
     /// Pair-constant work — routing, fault scope matching, query and HTTP
-    /// wire templates — is hoisted into a [`PairContext`] built once here;
-    /// each probe then borrows it through the arena-backed fast path. The
-    /// output is byte-identical to
+    /// wire templates, and under a live load model the per-site paths and
+    /// queues — is hoisted into a [`PairContext`] and a [`PairLoad`] built
+    /// once here; each probe then borrows them through the arena-backed
+    /// fast path. The output is byte-identical to
     /// [`run_pair_reference`](Self::run_pair_reference), which keeps the
     /// per-probe reference build as the differential anchor.
     pub(crate) fn run_pair(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
-        let vantage = &plan.vantage;
-        let entry = &plan.entry;
         let prober = Prober::new();
-        let mut target = ProbeTarget::from_entry(entry.clone());
-        let mut rng = SimRng::derived(
-            self.config.seed,
-            &format!("probe:{}:{}", vantage.label, entry.hostname),
-        );
+        let mut target = ProbeTarget::from_entry(plan.entry.clone());
         let mut ctx = PairContext::build(
             &prober,
-            vantage,
+            &plan.vantage,
             &target,
             self.config.probe,
             &self.config.faults,
             self.domains.iter().map(|d| &d.name),
         );
-        // A zero (or absent) load model takes the unloaded call below —
-        // the exact code path the seed goldens pin, untouched byte for
-        // byte. Only a live model builds pair load state.
-        let load = self.config.load.as_ref().filter(|m| !m.is_zero());
-        let mut pair_load = load.map(|m| PairLoad::build(m, vantage, &target));
-        // Likewise for sessions: a cold-only (or absent) session model
-        // takes the legacy calls and never stamps a connection mode, so
-        // its records serialize byte-identically to the seed goldens.
-        // Only a live model builds per-pair session state.
+        let load = self.live_load();
+        let mut pair_load = load.map(|m| PairLoad::build(m, &plan.vantage, &target));
+        self.pair_records(plan, |rng, session, domain_idx, at| {
+            let run = prober.probe_pair(
+                &mut ctx,
+                pair_load.as_mut().zip(load),
+                session,
+                &mut target,
+                domain_idx,
+                at,
+                self.config.probe,
+                &self.config.faults,
+                rng,
+            );
+            // Rewind the arena's checkout accounting: buffers kept by the
+            // context's caches stay; scratch is written off.
+            ctx.arena.reset();
+            run
+        })
+    }
+
+    /// [`run_pair`](Self::run_pair) through the per-probe reference path:
+    /// no context, no caches, no pair load state — every probe rebuilds
+    /// its route, load pick and wires from scratch via
+    /// [`Prober::probe_reference`]. The differential suites hold the fast
+    /// path to this, byte for byte.
+    pub(crate) fn run_pair_reference(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
+        let prober = Prober::new();
+        let mut target = ProbeTarget::from_entry(plan.entry.clone());
+        let client = plan.vantage.host(0);
+        let load = self.live_load();
+        self.pair_records(plan, |rng, session, domain_idx, at| {
+            prober.probe_reference(
+                &client,
+                &mut target,
+                &self.domains[domain_idx].name,
+                at,
+                plan.vantage.is_home(),
+                self.config.probe,
+                &self.config.faults,
+                load,
+                session,
+                rng,
+                &mut SpanLog::disabled(),
+            )
+        })
+    }
+
+    /// The campaign's load model when it offers load anywhere. A zero (or
+    /// absent) model never builds load state, so unloaded campaigns run
+    /// exactly the code path the seed goldens pin.
+    fn live_load(&self) -> Option<&LoadModel> {
+        self.config.load.as_ref().filter(|m| !m.is_zero())
+    }
+
+    /// The per-pair schedule loop shared by the fast and reference paths:
+    /// spans × rounds × domains in schedule order (the probe RNG stream
+    /// depends on it), one `probe(rng, session, domain index, time)` call
+    /// each. It owns the pair's probe stream and, under a live session
+    /// model, its [`SessionState`]; a cold-only (or absent) session model
+    /// never stamps a connection mode, so its records serialize
+    /// byte-identically to the seed goldens.
+    fn pair_records(
+        &self,
+        plan: &PairPlan,
+        mut probe: impl FnMut(
+            &mut SimRng,
+            Option<(&mut SessionState, &SessionConfig)>,
+            usize,
+            SimTime,
+        ) -> ProbeRun,
+    ) -> Vec<ProbeRecord> {
+        let (vantage, entry) = (&plan.vantage, &plan.entry);
+        let mut rng = SimRng::derived(
+            self.config.seed,
+            &format!("probe:{}:{}", vantage.label, entry.hostname),
+        );
         let session_cfg = self.config.session.as_ref().filter(|s| s.is_live());
         let mut session = session_cfg.map(|_| {
             SessionState::new(
@@ -470,51 +534,7 @@ impl Campaign {
             for at in span.round_times() {
                 for (domain_idx, domain) in self.domains.iter().enumerate() {
                     let (outcome, ping, retry, mode) =
-                        match (load, &mut pair_load, session_cfg, &mut session) {
-                            (Some(model), Some(pl), _, _) => {
-                                let (outcome, ping, retry) = prober.probe_pair_loaded(
-                                    &mut ctx,
-                                    pl,
-                                    model,
-                                    &mut target,
-                                    domain_idx,
-                                    at,
-                                    self.config.probe,
-                                    &self.config.faults,
-                                    &mut rng,
-                                );
-                                (outcome, ping, retry, None)
-                            }
-                            (_, _, Some(scfg), Some(sess)) => {
-                                let (outcome, ping, retry, mode) = prober.probe_pair_session(
-                                    &mut ctx,
-                                    sess,
-                                    scfg,
-                                    &mut target,
-                                    domain_idx,
-                                    at,
-                                    self.config.probe,
-                                    &self.config.faults,
-                                    &mut rng,
-                                );
-                                (outcome, ping, retry, Some(mode))
-                            }
-                            _ => {
-                                let (outcome, ping, retry) = prober.probe_pair(
-                                    &mut ctx,
-                                    &mut target,
-                                    domain_idx,
-                                    at,
-                                    self.config.probe,
-                                    &self.config.faults,
-                                    &mut rng,
-                                );
-                                (outcome, ping, retry, None)
-                            }
-                        };
-                    // Rewind the arena's checkout accounting: buffers kept
-                    // by the context's caches stay; scratch is written off.
-                    ctx.arena.reset();
+                        probe(&mut rng, session.as_mut().zip(session_cfg), domain_idx, at);
                     records.push(
                         ProbeRecord::new(
                             at,
@@ -533,96 +553,9 @@ impl Campaign {
                 }
             }
         }
-        // Probes run in schedule order (the RNG stream depends on it);
-        // canonical order only differs by the within-round domain
-        // permutation, so this stable integer-keyed sort is near-free.
-        records.sort_by_cached_key(|r| (r.at, self.domain_rank(r.domain_id())));
-        records
-    }
-
-    /// [`run_pair`](Self::run_pair) through the per-probe reference path:
-    /// no context, no caches — every probe rebuilds its wires from
-    /// scratch via [`Prober::probe_with_faults`]. The arena differential
-    /// proptest holds the fast path to this, byte for byte.
-    pub(crate) fn run_pair_reference(&self, plan: &PairPlan) -> Vec<ProbeRecord> {
-        let vantage = &plan.vantage;
-        let entry = &plan.entry;
-        let prober = Prober::new();
-        let mut target = ProbeTarget::from_entry(entry.clone());
-        let mut rng = SimRng::derived(
-            self.config.seed,
-            &format!("probe:{}:{}", vantage.label, entry.hostname),
-        );
-        let client = vantage.host(0);
-        let is_home = vantage.is_home();
-        // Mirror of the fast path's session gate: a live model drives the
-        // reference session probe, anything else takes the legacy call.
-        let session_cfg = self.config.session.as_ref().filter(|s| s.is_live());
-        let mut session = session_cfg.map(|_| {
-            SessionState::new(
-                self.config.seed,
-                vantage.label,
-                entry.hostname,
-                entry.reuse_policy(),
-                entry.coalesce_key(),
-            )
-        });
-
-        let mut records = Vec::new();
-        for span in &self.config.spans {
-            if !span.vantages.contains(&vantage.label) {
-                continue;
-            }
-            for at in span.round_times() {
-                for domain in &self.domains {
-                    let (outcome, ping, retry, mode) = match (session_cfg, &mut session) {
-                        (Some(scfg), Some(sess)) => {
-                            let (outcome, ping, retry, mode) = prober.probe_with_faults_session(
-                                &client,
-                                sess,
-                                scfg,
-                                &mut target,
-                                &domain.name,
-                                at,
-                                is_home,
-                                self.config.probe,
-                                &self.config.faults,
-                                &mut rng,
-                            );
-                            (outcome, ping, retry, Some(mode))
-                        }
-                        _ => {
-                            let (outcome, ping, retry) = prober.probe_with_faults(
-                                &client,
-                                &mut target,
-                                &domain.name,
-                                at,
-                                is_home,
-                                self.config.probe,
-                                &self.config.faults,
-                                &mut rng,
-                            );
-                            (outcome, ping, retry, None)
-                        }
-                    };
-                    records.push(
-                        ProbeRecord::new(
-                            at,
-                            plan.vantage_label,
-                            plan.resolver_label,
-                            entry.region(),
-                            entry.mainstream,
-                            domain.label,
-                            self.config.probe.protocol,
-                            outcome,
-                            ping,
-                        )
-                        .with_retry(retry)
-                        .with_conn_mode(mode),
-                    );
-                }
-            }
-        }
+        // Probes run in schedule order; canonical order only differs by
+        // the within-round domain permutation, so this stable
+        // integer-keyed sort is near-free.
         records.sort_by_cached_key(|r| (r.at, self.domain_rank(r.domain_id())));
         records
     }

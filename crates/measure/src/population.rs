@@ -254,6 +254,46 @@ impl LoadModel {
         offered
     }
 
+    /// The per-probe reference for `PairLoad::pick`: one attempt's site
+    /// recomputed from scratch — offered rates through
+    /// [`offered_site_qps`](Self::offered_site_qps), load-sensitive
+    /// routing through `ResolverInstance::route_loaded`, the residential
+    /// peering penalty, and the hash-based shed decision. It shares no
+    /// state with the pair-constant fast path, which the load
+    /// differentials hold to it bit for bit. Returns the pick and the path
+    /// to the picked site.
+    #[rng_neutral]
+    pub(crate) fn pick_reference(
+        &self,
+        target: &ProbeTarget,
+        client: &Host,
+        is_home: bool,
+        ftarget: &FaultTarget<'_>,
+        now: SimTime,
+    ) -> (SitePick, Path) {
+        let offered = self.offered_site_qps(&target.entry, &target.instance, now);
+        let (site, mut path) =
+            target
+                .instance
+                .route_loaded(client, &offered, self.spill_utilization);
+        if is_home {
+            path.extra_latency_ms += target.entry.home_extra_ms;
+        }
+        let queue = target.instance.servers[site].profile.queue();
+        let pick = SitePick {
+            site,
+            offered_qps: offered[site],
+            shed: hash_decision(
+                derive_seed(self.seed, "shed"),
+                now,
+                ftarget,
+                site as u64,
+                queue.shed_probability(offered[site]),
+            ),
+        };
+        (pick, path)
+    }
+
     /// The per-site load table of `instance` at `now`: offered rate,
     /// utilization, queueing delay and shed probability per site, in site
     /// order (deterministic — pinned by a two-seed stable-ordering test).
@@ -489,6 +529,46 @@ mod tests {
             assert_eq!(f, m.day_factor(now), "same day, same factor");
             assert!((1.0 - m.day_jitter..=1.0 + m.day_jitter).contains(&f));
         }
+    }
+
+    #[test]
+    fn pair_load_pick_matches_the_reference_bit_for_bit() {
+        // Every catalog pair, hourly over one day, across the multiplier
+        // ladder up to the spilling 10 000x: same site, same offered-rate
+        // bits, same shed decision, same path (Debug prints f64 exactly).
+        let mut spilled = 0;
+        for multiplier in [1.0, 8.0, 10_000.0] {
+            let model = LoadModel::standard(12).with_multiplier(multiplier);
+            for entry in catalog::resolvers::all() {
+                let target = ProbeTarget::from_entry(entry);
+                for vantage in crate::vantage::all() {
+                    let client = vantage.host(0);
+                    let ftarget = FaultTarget {
+                        resolver: target.entry.hostname,
+                        region: target.entry.region(),
+                        vantage: vantage.label,
+                    };
+                    let mut load = PairLoad::build(&model, &vantage, &target);
+                    for h in 0..24 {
+                        let now = at_hour(h);
+                        let fast = load.pick(&model, &ftarget, now);
+                        let (reference, path) = model.pick_reference(
+                            &target,
+                            &client,
+                            vantage.is_home(),
+                            &ftarget,
+                            now,
+                        );
+                        assert_eq!(fast.site, reference.site);
+                        assert_eq!(fast.offered_qps.to_bits(), reference.offered_qps.to_bits());
+                        assert_eq!(fast.shed, reference.shed);
+                        assert_eq!(format!("{:?}", load.path(fast.site)), format!("{path:?}"));
+                        spilled += usize::from(fast.site != target.instance.route(&client).0);
+                    }
+                }
+            }
+        }
+        assert!(spilled > 0, "the ladder must exercise a spilled pick");
     }
 
     #[test]

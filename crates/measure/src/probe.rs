@@ -24,7 +24,7 @@ use transport::{
 
 use crate::context::{DomainTemplate, PairContext};
 use crate::errors::ProbeErrorKind;
-use crate::population::{LoadModel, PairLoad};
+use crate::population::{LoadModel, PairLoad, SitePick};
 use crate::results::{ConnectionMode, ProbeOutcome, ProbeTimings, Protocol};
 use crate::retry::{RetryInfo, RetryPolicy};
 use crate::session::{SessionConfig, SessionState};
@@ -176,6 +176,129 @@ impl WarmStart {
     }
 }
 
+/// What one probe yields: the outcome, the paired ICMP round trip, retry
+/// accounting (iff the policy is enabled) and the final attempt's
+/// connection mode (iff a session layer is live — a warm probe whose
+/// retry fell back cold reports `Cold`).
+pub(crate) type ProbeRun = (
+    ProbeOutcome,
+    Option<SimDuration>,
+    Option<RetryInfo>,
+    Option<ConnectionMode>,
+);
+
+/// Where each attempt of a probe is served from. Every variant is
+/// RNG-free: picking a site never moves the probe stream.
+enum SiteSelect<'a> {
+    /// The pair's unloaded route: one site and path for every attempt.
+    Static { site: usize, path: &'a Path },
+    /// Load-sensitive selection through the pair's precomputed
+    /// [`PairLoad`]: an overloaded nearest site spills the vantage to the
+    /// next-nearest, and the pick carries the site's offered load and the
+    /// hash-based shed decision.
+    Loaded {
+        load: &'a mut PairLoad,
+        model: &'a LoadModel,
+    },
+    /// The reference twin of `Loaded`: every pick is recomputed from the
+    /// model by [`LoadModel::pick_reference`]; `path` holds the last one.
+    LoadedReference {
+        model: &'a LoadModel,
+        client: &'a Host,
+        is_home: bool,
+        path: Option<Path>,
+    },
+}
+
+impl SiteSelect<'_> {
+    /// The serving site at `now`, its load state and the path to it.
+    fn pick(
+        &mut self,
+        target: &ProbeTarget,
+        ftarget: &FaultTarget<'_>,
+        now: SimTime,
+    ) -> (SitePick, &Path) {
+        match self {
+            SiteSelect::Static { site, path } => (
+                SitePick {
+                    site: *site,
+                    offered_qps: 0.0,
+                    shed: false,
+                },
+                path,
+            ),
+            SiteSelect::Loaded { load, model } => {
+                let pick = load.pick(model, ftarget, now);
+                (pick, load.path(pick.site))
+            }
+            SiteSelect::LoadedReference {
+                model,
+                client,
+                is_home,
+                path,
+            } => {
+                let (pick, picked) = model.pick_reference(target, client, *is_home, ftarget, now);
+                (pick, path.insert(picked))
+            }
+        }
+    }
+}
+
+/// One attempt as the driver hands it to a protocol exchange: the
+/// transport start, the serving site, and the site's path and transport
+/// hooks shaped by the attempt's health and fault effects.
+struct Attempt {
+    warm: WarmStart,
+    now: SimTime,
+    site: usize,
+    path: Path,
+    hooks: FaultHooks,
+    health: ProbeHealth,
+    effects: FaultEffects,
+}
+
+impl Attempt {
+    /// Outage states and link-layer faults shape the path; refused
+    /// connections, broken TLS and HTTP-level rate limiting become
+    /// transport hooks. The rate limit surfaces as a 429 on HTTP-carried
+    /// protocols; `serve` folds it into a SERVFAIL elsewhere.
+    fn shape(
+        warm: WarmStart,
+        now: SimTime,
+        site: usize,
+        path: &Path,
+        health: ProbeHealth,
+        effects: FaultEffects,
+    ) -> Attempt {
+        let mut path = path.clone();
+        if health == ProbeHealth::Blackholed || effects.link_down {
+            path.extra_loss = 1.0;
+        }
+        if effects.extra_loss > 0.0 {
+            path.extra_loss = (path.extra_loss + effects.extra_loss).min(1.0);
+        }
+        path.extra_latency_ms += effects.extra_latency_ms;
+        let hooks = FaultHooks {
+            refuse_connect: health == ProbeHealth::Refusing,
+            tls_behavior: match health {
+                ProbeHealth::TlsBroken => TlsServerBehavior::Stall,
+                ProbeHealth::BadCertificate => TlsServerBehavior::BadCertificate,
+                _ => TlsServerBehavior::Normal,
+            },
+            http_status_override: effects.rate_limited.then_some(429),
+        };
+        Attempt {
+            warm,
+            now,
+            site,
+            path,
+            hooks,
+            health,
+            effects,
+        }
+    }
+}
+
 /// A resolver as seen by the prober: catalog metadata plus live simulated
 /// state.
 #[derive(Debug)]
@@ -302,8 +425,8 @@ impl Prober {
     }
 
     /// One measurement under a fault plan, with per-attempt retry
-    /// accounting. This is the full probe engine; [`probe`](Self::probe)
-    /// is this with the empty plan.
+    /// accounting, through the per-probe reference path;
+    /// [`probe`](Self::probe) is this with the empty plan.
     ///
     /// Each attempt re-resolves the plan at the attempt's start time and
     /// re-samples the resolver's health, so a transient window can end
@@ -342,44 +465,180 @@ impl Prober {
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
+        let (outcome, ping, info, _) = self.probe_reference(
+            client, target, domain, now, is_home, cfg, faults, None, None, rng, log,
+        );
+        (outcome, ping, info)
+    }
+
+    /// The per-probe reference path: routes the pair, matches the fault
+    /// plan and builds every wire from scratch for each probe. A live
+    /// `load` model recomputes each attempt's site from the model
+    /// ([`LoadModel::pick_reference`]); a live `session` starts attempts
+    /// warm. [`probe_pair`](Self::probe_pair) is held to this byte for
+    /// byte by the differential suites.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn probe_reference(
+        &self,
+        client: &Host,
+        target: &mut ProbeTarget,
+        domain: &Name,
+        now: SimTime,
+        is_home: bool,
+        cfg: ProbeConfig,
+        faults: &FaultPlan,
+        load: Option<&LoadModel>,
+        session: Option<(&mut SessionState, &SessionConfig)>,
+        rng: &mut SimRng,
+        log: &mut SpanLog,
+    ) -> ProbeRun {
         let (site, mut path) = target.instance.route(client);
         if is_home {
             path.extra_latency_ms += target.entry.home_extra_ms;
         }
-
-        // Paired ICMP probe (§3.1 "Latency"). Pings travel the base path:
-        // like the paper's tooling, the ICMP companion is a reachability
-        // signal, not a fault-injection subject.
-        let ping = icmp::ping(&path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
+        let sites = match load {
+            Some(model) => SiteSelect::LoadedReference {
+                model,
+                client,
+                is_home,
+                path: None,
+            },
+            None => SiteSelect::Static { site, path: &path },
+        };
         let ftarget = FaultTarget {
             resolver: target.entry.hostname,
             region: target.entry.region(),
             vantage: &client.label,
         };
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at(attempt_now, &ftarget);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            self.dns_probe(
-                WarmStart::Cold,
-                client,
-                target,
-                domain,
-                attempt_now,
-                site,
-                &path,
-                health,
-                &effects,
-                cfg,
-                rng,
-                log,
-            )
+        Self::drive_probe(
+            target,
+            &ftarget,
+            sites,
+            session,
+            now,
+            cfg,
+            rng,
+            log,
+            |t| faults.effects_at(t, &ftarget),
+            |a, target, rng, log| self.dns_probe(a, client, target, domain, cfg, rng, log),
+        )
+    }
+
+    /// One campaign probe over the pair's prebuilt [`PairContext`] — the
+    /// fast path. Behaviour and RNG consumption are byte-identical to
+    /// [`probe_reference`](Self::probe_reference): every hoisted quantity
+    /// is RNG-free and every cached wire is a pure function of
+    /// pair-constant inputs. A live `load` picks each attempt's site
+    /// through the pair's [`PairLoad`]. Pinned by the `arena_differential`,
+    /// `load_differential` and `session_differential` suites and the
+    /// golden fixtures.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn probe_pair(
+        &self,
+        ctx: &mut PairContext,
+        load: Option<(&mut PairLoad, &LoadModel)>,
+        session: Option<(&mut SessionState, &SessionConfig)>,
+        target: &mut ProbeTarget,
+        domain_idx: usize,
+        now: SimTime,
+        cfg: ProbeConfig,
+        faults: &FaultPlan,
+        rng: &mut SimRng,
+    ) -> ProbeRun {
+        let PairContext {
+            client,
+            site,
+            path,
+            ftarget,
+            scope_mask,
+            domains,
+            arena,
+        } = ctx;
+        let tmpl = &mut domains[domain_idx];
+        let sites = match load {
+            Some((load, model)) => SiteSelect::Loaded { load, model },
+            None => SiteSelect::Static { site: *site, path },
+        };
+        Self::drive_probe(
+            target,
+            ftarget,
+            sites,
+            session,
+            now,
+            cfg,
+            rng,
+            &mut SpanLog::disabled(),
+            |t| faults.effects_at_masked(t, ftarget, scope_mask),
+            |a, target, rng, log| self.dns_probe_ctx(a, client, target, tmpl, cfg, arena, rng, log),
+        )
+    }
+
+    /// The one probe driver behind both entry points. `sites` says where
+    /// each attempt is served from, `session` how its transport starts,
+    /// and `exchange` runs the per-protocol exchange — the template-backed
+    /// fast one or the from-scratch reference one.
+    ///
+    /// RNG order, which every golden fixture depends on: the paired ping,
+    /// then the once-per-probe session-schedule draw, then per attempt
+    /// fault effects → site pick and load overlay → health → session
+    /// decision → exchange → session update. Site picks, load overlays
+    /// and session decisions draw nothing from the probe stream.
+    #[allow(clippy::too_many_arguments)]
+    fn drive_probe(
+        target: &mut ProbeTarget,
+        ftarget: &FaultTarget<'_>,
+        mut sites: SiteSelect<'_>,
+        session: Option<(&mut SessionState, &SessionConfig)>,
+        now: SimTime,
+        cfg: ProbeConfig,
+        rng: &mut SimRng,
+        log: &mut SpanLog,
+        effects_at: impl Fn(SimTime) -> FaultEffects,
+        mut exchange: impl FnMut(&Attempt, &mut ProbeTarget, &mut SimRng, &mut SpanLog) -> ProbeOutcome,
+    ) -> ProbeRun {
+        // Paired ICMP probe (§3.1 "Latency"). Pings travel the base path:
+        // like the paper's tooling, the ICMP companion is a reachability
+        // signal, not a fault-injection subject.
+        let (_, ping_path) = sites.pick(target, ftarget, now);
+        let ping = icmp::ping(ping_path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
+        match ping {
+            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
+            None => log.instant(now.as_nanos(), "icmp_filtered"),
+        }
+
+        // One schedule draw per probe, before any attempt: the stream
+        // position is the probe ordinal, independent of outcomes.
+        let mut session = session.map(|(state, scfg)| {
+            let forced_cold = state.draw_forced_cold(scfg);
+            (state, forced_cold)
         });
-        (outcome, ping, info)
+        let mut last_mode = None;
+        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
+            let mut effects = effects_at(attempt_now);
+            let (pick, path) = sites.pick(target, ftarget, attempt_now);
+            // A shed attempt rides the rate-limit machinery: HTTP 429 on
+            // DoH, SERVFAIL on the bare transports.
+            effects.offered_load_qps = pick.offered_qps;
+            effects.rate_limited |= pick.shed;
+            let health = Self::effective_health(target, attempt_now, &effects, rng);
+            let warm = match &mut session {
+                Some((state, forced_cold)) => {
+                    let healthy = Self::connection_healthy(health, &effects);
+                    let mode =
+                        state.decide(attempt_now, cfg.protocol, pick.site, healthy, *forced_cold);
+                    last_mode = Some(mode);
+                    Self::warm_start(state, mode)
+                }
+                None => WarmStart::Cold,
+            };
+            let attempt = Attempt::shape(warm, attempt_now, pick.site, path, health, effects);
+            let outcome = exchange(&attempt, target, rng, log);
+            if let (Some((state, _)), Some(mode)) = (&mut session, last_mode) {
+                Self::update_session(state, cfg.retry, &attempt, cfg.protocol, mode, &outcome);
+            }
+            outcome
+        });
+        (outcome, ping, info, last_mode)
     }
 
     /// Samples the resolver's health for one attempt and applies the
@@ -401,9 +660,9 @@ impl Prober {
         health
     }
 
-    /// The per-probe retry driver shared by the reference and context
-    /// paths: runs `attempt` under `policy`, accumulating elapsed time and
-    /// backoff waits so later attempts see later fault-plan windows.
+    /// The per-probe retry loop of [`drive_probe`](Self::drive_probe):
+    /// runs `attempt` under `policy`, accumulating elapsed time and backoff
+    /// waits so later attempts see later fault-plan windows.
     fn run_attempts(
         policy: RetryPolicy,
         now: SimTime,
@@ -492,139 +751,6 @@ impl Prober {
         }
     }
 
-    /// [`probe_with_faults`](Self::probe_with_faults) over a prebuilt
-    /// [`PairContext`] — the campaign fast path. Behaviour and RNG
-    /// consumption are byte-identical to the reference path: every hoisted
-    /// quantity is RNG-free and every cached wire is a pure function of
-    /// pair-constant inputs (fresh connection per probe). Pinned by the
-    /// `arena_differential` proptest and the golden fixtures.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_pair(
-        &self,
-        ctx: &mut PairContext,
-        target: &mut ProbeTarget,
-        domain_idx: usize,
-        now: SimTime,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
-        let mut log = SpanLog::disabled();
-        let PairContext {
-            client,
-            site,
-            path,
-            ftarget,
-            scope_mask,
-            domains,
-            arena,
-        } = ctx;
-        let site = *site;
-        let tmpl = &mut domains[domain_idx];
-
-        let ping = icmp::ping(path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at_masked(attempt_now, ftarget, scope_mask);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            self.dns_probe_ctx(
-                WarmStart::Cold,
-                client,
-                target,
-                tmpl,
-                attempt_now,
-                site,
-                path,
-                health,
-                &effects,
-                cfg,
-                arena,
-                rng,
-                &mut log,
-            )
-        });
-        (outcome, ping, info)
-    }
-
-    /// [`probe_pair`](Self::probe_pair) under a client-population load
-    /// model: each attempt resolves its serving site through the
-    /// [`PairLoad`]'s load-sensitive selection (an overloaded nearest site
-    /// spills the vantage to the next-nearest), overlays the site's
-    /// offered-load rate onto the fault effects (queueing delay via the
-    /// frontend's `QueueModel`) and makes the hash-based shed decision —
-    /// a shed attempt rides the existing rate-limit machinery, so it
-    /// surfaces as HTTP 429 on DoH and SERVFAIL on bare transports. All
-    /// load inputs are pure functions of `(model, pair, attempt time)`:
-    /// the probe RNG stream is consumed exactly as on the unloaded path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_pair_loaded(
-        &self,
-        ctx: &mut PairContext,
-        pair_load: &mut PairLoad,
-        model: &LoadModel,
-        target: &mut ProbeTarget,
-        domain_idx: usize,
-        now: SimTime,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (ProbeOutcome, Option<SimDuration>, Option<RetryInfo>) {
-        let mut log = SpanLog::disabled();
-        let PairContext {
-            client,
-            ftarget,
-            scope_mask,
-            domains,
-            arena,
-            ..
-        } = ctx;
-        let tmpl = &mut domains[domain_idx];
-
-        let first = pair_load.pick(model, ftarget, now);
-        let ping = icmp::ping(
-            pair_load.path(first.site),
-            target.instance.icmp,
-            cfg.ping_timeout,
-            rng,
-        )
-        .rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let mut effects = faults.effects_at_masked(attempt_now, ftarget, scope_mask);
-            let pick = pair_load.pick(model, ftarget, attempt_now);
-            effects.offered_load_qps = pick.offered_qps;
-            if pick.shed {
-                effects.rate_limited = true;
-            }
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            let path = pair_load.path(pick.site).clone();
-            self.dns_probe_ctx(
-                WarmStart::Cold,
-                client,
-                target,
-                tmpl,
-                attempt_now,
-                pick.site,
-                &path,
-                health,
-                &effects,
-                cfg,
-                arena,
-                rng,
-                &mut log,
-            )
-        });
-        (outcome, ping, info)
-    }
-
     /// True when the sampled health and fault effects would let a client
     /// establish (or keep) a transport connection. Any connection-layer
     /// fault — blackhole/outage, refused, broken TLS, expired certificate,
@@ -666,7 +792,7 @@ impl Prober {
     fn update_session(
         session: &mut SessionState,
         policy: RetryPolicy,
-        attempt_now: SimTime,
+        attempt: &Attempt,
         protocol: Protocol,
         mode: ConnectionMode,
         outcome: &ProbeOutcome,
@@ -677,233 +803,34 @@ impl Prober {
                     .attempt_timeout
                     .is_none_or(|to| timings.total() <= to) =>
             {
-                session.on_success(attempt_now, protocol, mode, timings.connect);
+                session.on_success(attempt.now, protocol, attempt.site, mode, timings.connect);
             }
             _ => session.on_failure(),
         }
     }
 
-    /// [`probe_pair`](Self::probe_pair) with a live session layer: the
-    /// pair's [`SessionState`] decides per attempt whether the transport
-    /// starts cold, resumes a TLS/QUIC session, or reuses a pooled
-    /// connection, and the attempt's outcome feeds back into the state.
-    /// Returns the [`ConnectionMode`] of the probe's final attempt, for
-    /// recording — a warm probe whose retry fell back cold reports `Cold`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_pair_session(
-        &self,
-        ctx: &mut PairContext,
-        session: &mut SessionState,
-        scfg: &SessionConfig,
-        target: &mut ProbeTarget,
-        domain_idx: usize,
-        now: SimTime,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (
-        ProbeOutcome,
-        Option<SimDuration>,
-        Option<RetryInfo>,
-        ConnectionMode,
-    ) {
-        let mut log = SpanLog::disabled();
-        let PairContext {
-            client,
-            site,
-            path,
-            ftarget,
-            scope_mask,
-            domains,
-            arena,
-        } = ctx;
-        let site = *site;
-        let tmpl = &mut domains[domain_idx];
-
-        let ping = icmp::ping(path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        // One schedule draw per probe, before any attempt: the stream
-        // position is the probe ordinal, independent of outcomes.
-        let forced_cold = session.draw_forced_cold(scfg);
-        let mut last_mode = ConnectionMode::Cold;
-        let session = &mut *session;
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at_masked(attempt_now, ftarget, scope_mask);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            let conn_healthy = Self::connection_healthy(health, &effects);
-            let mode = session.decide(attempt_now, cfg.protocol, conn_healthy, forced_cold);
-            last_mode = mode;
-            let outcome = self.dns_probe_ctx(
-                Self::warm_start(session, mode),
-                client,
-                target,
-                tmpl,
-                attempt_now,
-                site,
-                path,
-                health,
-                &effects,
-                cfg,
-                arena,
-                rng,
-                &mut log,
-            );
-            Self::update_session(
-                session,
-                cfg.retry,
-                attempt_now,
-                cfg.protocol,
-                mode,
-                &outcome,
-            );
-            outcome
-        });
-        (outcome, ping, info, last_mode)
-    }
-
-    /// [`probe_with_faults`](Self::probe_with_faults) with a live session
-    /// layer — the reference twin of
-    /// [`probe_pair_session`](Self::probe_pair_session), rebuilding every
-    /// wire per probe, so the session differential tests can anchor the
-    /// fast path against it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_with_faults_session(
-        &self,
-        client: &Host,
-        session: &mut SessionState,
-        scfg: &SessionConfig,
-        target: &mut ProbeTarget,
-        domain: &Name,
-        now: SimTime,
-        is_home: bool,
-        cfg: ProbeConfig,
-        faults: &FaultPlan,
-        rng: &mut SimRng,
-    ) -> (
-        ProbeOutcome,
-        Option<SimDuration>,
-        Option<RetryInfo>,
-        ConnectionMode,
-    ) {
-        let mut disabled = SpanLog::disabled();
-        let log = &mut disabled;
-        let (site, mut path) = target.instance.route(client);
-        if is_home {
-            path.extra_latency_ms += target.entry.home_extra_ms;
-        }
-
-        let ping = icmp::ping(&path, target.instance.icmp, cfg.ping_timeout, rng).rtt();
-        match ping {
-            Some(rtt) => log.instant(now.as_nanos() + rtt.as_nanos(), "icmp_echo_reply"),
-            None => log.instant(now.as_nanos(), "icmp_filtered"),
-        }
-
-        let ftarget = FaultTarget {
-            resolver: target.entry.hostname,
-            region: target.entry.region(),
-            vantage: &client.label,
-        };
-        let forced_cold = session.draw_forced_cold(scfg);
-        let mut last_mode = ConnectionMode::Cold;
-        let session = &mut *session;
-        let (outcome, info) = Self::run_attempts(cfg.retry, now, rng, |attempt_now, rng| {
-            let effects = faults.effects_at(attempt_now, &ftarget);
-            let health = Self::effective_health(target, attempt_now, &effects, rng);
-            let conn_healthy = Self::connection_healthy(health, &effects);
-            let mode = session.decide(attempt_now, cfg.protocol, conn_healthy, forced_cold);
-            last_mode = mode;
-            let outcome = self.dns_probe(
-                Self::warm_start(session, mode),
-                client,
-                target,
-                domain,
-                attempt_now,
-                site,
-                &path,
-                health,
-                &effects,
-                cfg,
-                rng,
-                log,
-            );
-            Self::update_session(
-                session,
-                cfg.retry,
-                attempt_now,
-                cfg.protocol,
-                mode,
-                &outcome,
-            );
-            outcome
-        });
-        (outcome, ping, info, last_mode)
-    }
-
-    /// Context-path twin of [`dns_probe`](Self::dns_probe): identical
-    /// fault/health shaping, dispatching to the template-backed protocol
-    /// probes. ODoH falls through to the reference path — its per-probe
-    /// KEM entropy draw leaves nothing pair-constant to hoist.
+    /// Context-path twin of [`dns_probe`](Self::dns_probe), dispatching
+    /// the shaped attempt to the template-backed protocol probes. ODoH
+    /// falls through to the reference path — its per-probe KEM entropy
+    /// draw leaves nothing pair-constant to hoist.
     #[allow(clippy::too_many_arguments)]
     fn dns_probe_ctx(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         client: &Host,
         target: &mut ProbeTarget,
         tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         arena: &mut Arena,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
-        let mut path = path.clone();
-        if health == ProbeHealth::Blackholed || effects.link_down {
-            path.extra_loss = 1.0;
-        }
-        if effects.extra_loss > 0.0 {
-            path.extra_loss = (path.extra_loss + effects.extra_loss).min(1.0);
-        }
-        path.extra_latency_ms += effects.extra_latency_ms;
-        let refused = health == ProbeHealth::Refusing;
-        let tls_behavior = match health {
-            ProbeHealth::TlsBroken => TlsServerBehavior::Stall,
-            ProbeHealth::BadCertificate => TlsServerBehavior::BadCertificate,
-            _ => TlsServerBehavior::Normal,
-        };
-        let hooks = FaultHooks {
-            refuse_connect: refused,
-            tls_behavior,
-            http_status_override: if effects.rate_limited {
-                Some(429)
-            } else {
-                None
-            },
-        };
-
         match cfg.protocol {
-            Protocol::DoH => self.doh_probe_ctx(
-                warm, target, tmpl, now, site, &path, hooks, health, effects, arena, rng, log,
-            ),
-            Protocol::DoT => self.dot_probe_ctx(
-                warm, target, tmpl, now, site, &path, hooks, health, effects, arena, rng, log,
-            ),
-            Protocol::Do53 => self.do53_probe_ctx(
-                target, tmpl, now, site, &path, health, effects, arena, rng, log,
-            ),
-            Protocol::DoQ => self.doq_probe_ctx(
-                warm, target, tmpl, now, site, &path, hooks, health, effects, arena, rng, log,
-            ),
-            Protocol::ODoH => self.odoh_probe(
-                client, target, &tmpl.name, now, site, health, effects, cfg, rng, log,
-            ),
+            Protocol::DoH => self.doh_probe_ctx(a, target, tmpl, arena, rng, log),
+            Protocol::DoT => self.dot_probe_ctx(a, target, tmpl, arena, rng, log),
+            Protocol::Do53 => self.do53_probe_ctx(a, target, tmpl, arena, rng, log),
+            Protocol::DoQ => self.doq_probe_ctx(a, target, tmpl, arena, rng, log),
+            Protocol::ODoH => self.odoh_probe(a, client, target, &tmpl.name, cfg, rng, log),
         }
     }
 
@@ -912,28 +839,25 @@ impl Prober {
     /// draws), but the response message is only *assembled and encoded*
     /// the first time each (shed, rcode, answers) shape appears. Returns
     /// the variant index instead of wire bytes.
-    #[allow(clippy::too_many_arguments)]
     fn serve_cached(
         &self,
         target: &mut ProbeTarget,
         tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        effects: &FaultEffects,
+        a: &Attempt,
         http_layer: bool,
         rng: &mut SimRng,
         arena: &mut Arena,
     ) -> (SimDuration, bool, usize) {
-        let (server_time, resolution) = target.instance.server_mut(site).handle_query_loaded(
+        let (server_time, resolution) = target.instance.server_mut(a.site).handle_query_loaded(
             &tmpl.name,
             RecordType::A,
             &self.authorities,
-            now,
-            effects.slowdown,
-            effects.offered_load_qps,
+            a.now,
+            a.effects.slowdown,
+            a.effects.offered_load_qps,
             rng,
         );
-        let shed = effects.servfail || (!http_layer && effects.rate_limited);
+        let shed = a.effects.servfail || (!http_layer && a.effects.rate_limited);
         let rcode = if shed {
             Rcode::ServFail
         } else {
@@ -951,44 +875,38 @@ impl Prober {
     /// template lookups; the transport legs (the only RNG consumers) run
     /// unchanged with identical byte counts, so outcomes and span traces
     /// are byte-identical to the reference path.
-    #[allow(clippy::too_many_arguments)]
     fn doh_probe_ctx(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         target: &mut ProbeTarget,
         tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         arena: &mut Arena,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
         let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
 
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
+        let (mut tcp, connect, tls_time) =
+            match a.warm.tcp_tls_setup(&a.path, a.hooks, rng, &mut t, log) {
+                Ok(ok) => ok,
+                Err(fail) => return fail,
+            };
 
         let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, true, rng, arena);
-        let base_status = if health == ProbeHealth::HttpError {
+            self.serve_cached(target, tmpl, a, true, rng, arena);
+        let base_status = if a.health == ProbeHealth::HttpError {
             500
         } else {
             200
         };
-        let http_status = hooks.http_status(base_status);
+        let http_status = a.hooks.http_status(base_status);
         // detlint:allow(unwrap, dns_probe_ctx only dispatches DoH when the template was built for DoH)
         let doh = tmpl.doh.as_ref().expect("DoH template");
         // A follow-up request on a kept-alive connection skips the preface
         // and benefits from warm HPACK state; the response length is
         // stream-id-independent, so the cold cache serves both.
-        let req_len = if warm.is_reused() {
+        let req_len = if a.warm.is_reused() {
             doh.req_len_reused
         } else {
             doh.req_len
@@ -999,7 +917,8 @@ impl Prober {
         // this same traced TCP exchange with the same span pattern; only
         // the byte counts differ, and those are cached above.
         let out =
-            match tcp.request_response_traced(path, req_len, resp_len, server_time, rng, t, log) {
+            match tcp.request_response_traced(&a.path, req_len, resp_len, server_time, rng, t, log)
+            {
                 Ok(out) => out,
                 Err(e) => {
                     return ProbeOutcome::Failure {
@@ -1033,7 +952,7 @@ impl Prober {
             };
         }
         match tmpl.variants[variant].decoded_rcode {
-            Some(rcode) => Self::check_rcode(rcode, timings, cache_hit, site),
+            Some(rcode) => Self::check_rcode(rcode, timings, cache_hit, a.site),
             None => ProbeOutcome::Failure {
                 kind: ProbeErrorKind::DnsError,
                 elapsed: timings.total(),
@@ -1044,34 +963,28 @@ impl Prober {
     /// [`dot_probe`](Self::dot_probe) over the query template. The RFC
     /// 7858 length-prefix framing adds exactly 2 octets per message, so
     /// the framed sizes are computed without materializing the frames.
-    #[allow(clippy::too_many_arguments)]
     fn dot_probe_ctx(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         target: &mut ProbeTarget,
         tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         arena: &mut Arena,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
         let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
 
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
+        let (mut tcp, connect, tls_time) =
+            match a.warm.tcp_tls_setup(&a.path, a.hooks, rng, &mut t, log) {
+                Ok(ok) => ok,
+                Err(fail) => return fail,
+            };
         let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, false, rng, arena);
-        if health == ProbeHealth::HttpError {
+            self.serve_cached(target, tmpl, a, false, rng, arena);
+        if a.health == ProbeHealth::HttpError {
             let out = tcp.request_response_traced(
-                path,
+                &a.path,
                 2 + tmpl.query_wire.len(),
                 2 + 12,
                 server_time,
@@ -1092,7 +1005,7 @@ impl Prober {
         }
         let resp_len = tmpl.variants[variant].dns_response.len();
         match tcp.request_response_traced(
-            path,
+            &a.path,
             2 + tmpl.query_wire.len(),
             2 + resp_len,
             server_time,
@@ -1112,7 +1025,7 @@ impl Prober {
                     server_time,
                     dns_decode,
                 );
-                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, site)
+                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, a.site)
             }
             Err(e) => ProbeOutcome::Failure {
                 kind: e.into(),
@@ -1122,32 +1035,27 @@ impl Prober {
     }
 
     /// [`do53_probe`](Self::do53_probe) over the query template.
-    #[allow(clippy::too_many_arguments)]
     fn do53_probe_ctx(
         &self,
+        a: &Attempt,
         target: &mut ProbeTarget,
         tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         arena: &mut Arena,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
         let dead = matches!(
-            health,
+            a.health,
             ProbeHealth::Refusing | ProbeHealth::TlsBroken | ProbeHealth::BadCertificate
         );
-        let mut path = path.clone();
+        let mut path = a.path.clone();
         if dead {
             path.extra_loss = 1.0;
         }
         let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
         let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, false, rng, arena);
+            self.serve_cached(target, tmpl, a, false, rng, arena);
         let resp_len = tmpl.variants[variant].dns_response.len();
         let policy = RetryPolicy::dig_defaults().as_flight_policy();
         match transport::exchange_traced(
@@ -1173,13 +1081,13 @@ impl Prober {
                     server_time,
                     dns_decode,
                 );
-                if health == ProbeHealth::HttpError {
+                if a.health == ProbeHealth::HttpError {
                     return ProbeOutcome::Failure {
                         kind: ProbeErrorKind::DnsError,
                         elapsed: timings.total(),
                     };
                 }
-                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, site)
+                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, a.site)
             }
             Err(e) => ProbeOutcome::Failure {
                 kind: ProbeErrorKind::QueryTimeout,
@@ -1189,39 +1097,33 @@ impl Prober {
     }
 
     /// [`doq_probe`](Self::doq_probe) over the query template.
-    #[allow(clippy::too_many_arguments)]
     fn doq_probe_ctx(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         target: &mut ProbeTarget,
         tmpl: &mut DomainTemplate,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         arena: &mut Arena,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
-        if hooks.refuse_connect {
-            let rtt = path
+        if a.hooks.refuse_connect {
+            let rtt = a
+                .path
                 .sample_rtt(1200, 60, rng)
                 .unwrap_or(SimDuration::from_millis(300));
-            log.instant(now.as_nanos() + rtt.as_nanos(), "connection_refused");
+            log.instant(a.now.as_nanos() + rtt.as_nanos(), "connection_refused");
             return ProbeOutcome::Failure {
                 kind: ProbeErrorKind::ConnectionRefused,
                 elapsed: rtt,
             };
         }
         let dns_encode = tmpl.dns_encode;
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-        let (mut quic, connect) = match warm.quic_setup(path, rng, &mut t, log) {
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let (mut quic, connect) = match a.warm.quic_setup(&a.path, rng, &mut t, log) {
             Ok(ok) => ok,
             Err(fail) => return fail,
         };
-        if hooks.tls_behavior == TlsServerBehavior::BadCertificate {
+        if a.hooks.tls_behavior == TlsServerBehavior::BadCertificate {
             // QUIC folds TLS 1.3 into its handshake: the certificate
             // arrives with the combined connect flight, so the client pays
             // the connect round trip and then aborts — same shape as the
@@ -1233,10 +1135,10 @@ impl Prober {
             };
         }
         let (server_time, cache_hit, variant) =
-            self.serve_cached(target, tmpl, now, site, effects, false, rng, arena);
+            self.serve_cached(target, tmpl, a, false, rng, arena);
         let resp_len = tmpl.variants[variant].dns_response.len();
         match quic.stream_exchange_traced(
-            path,
+            &a.path,
             2 + tmpl.query_wire.len(),
             2 + resp_len,
             server_time,
@@ -1256,13 +1158,13 @@ impl Prober {
                     server_time,
                     dns_decode,
                 );
-                if health == ProbeHealth::HttpError {
+                if a.health == ProbeHealth::HttpError {
                     return ProbeOutcome::Failure {
                         kind: ProbeErrorKind::DnsError,
                         elapsed: timings.total(),
                     };
                 }
-                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, site)
+                Self::check_rcode(tmpl.variants[variant].rcode, timings, cache_hit, a.site)
             }
             Err(e) => ProbeOutcome::Failure {
                 kind: e.into(),
@@ -1271,66 +1173,24 @@ impl Prober {
         }
     }
 
+    /// Dispatches the shaped attempt to the from-scratch protocol probes.
     #[allow(clippy::too_many_arguments)]
     fn dns_probe(
         &self,
-        warm: WarmStart,
-        _client: &Host,
+        a: &Attempt,
+        client: &Host,
         target: &mut ProbeTarget,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
-        // Outage states and link-layer faults shape the path / transport
-        // behaviour.
-        let mut path = path.clone();
-        if health == ProbeHealth::Blackholed || effects.link_down {
-            path.extra_loss = 1.0;
-        }
-        if effects.extra_loss > 0.0 {
-            path.extra_loss = (path.extra_loss + effects.extra_loss).min(1.0);
-        }
-        path.extra_latency_ms += effects.extra_latency_ms;
-        let refused = health == ProbeHealth::Refusing;
-        let tls_behavior = match health {
-            ProbeHealth::TlsBroken => TlsServerBehavior::Stall,
-            ProbeHealth::BadCertificate => TlsServerBehavior::BadCertificate,
-            _ => TlsServerBehavior::Normal,
-        };
-        let hooks = FaultHooks {
-            refuse_connect: refused,
-            tls_behavior,
-            // HTTP-level rate limiting surfaces as a 429 on HTTP-carried
-            // protocols; `serve` folds it into a SERVFAIL elsewhere.
-            http_status_override: if effects.rate_limited {
-                Some(429)
-            } else {
-                None
-            },
-        };
-
         match cfg.protocol {
-            Protocol::DoH => self.doh_probe(
-                warm, target, domain, now, site, &path, hooks, health, effects, cfg, rng, log,
-            ),
-            Protocol::DoT => self.dot_probe(
-                warm, target, domain, now, site, &path, hooks, health, effects, cfg, rng, log,
-            ),
-            Protocol::Do53 => self.do53_probe(
-                target, domain, now, site, &path, health, effects, cfg, rng, log,
-            ),
-            Protocol::DoQ => self.doq_probe(
-                warm, target, domain, now, site, &path, hooks, health, effects, cfg, rng, log,
-            ),
-            Protocol::ODoH => self.odoh_probe(
-                _client, target, domain, now, site, health, effects, cfg, rng, log,
-            ),
+            Protocol::DoH => self.doh_probe(a, target, domain, cfg, rng, log),
+            Protocol::DoT => self.dot_probe(a, target, domain, cfg, rng, log),
+            Protocol::Do53 => self.do53_probe(a, target, domain, cfg, rng, log),
+            Protocol::DoQ => self.doq_probe(a, target, domain, cfg, rng, log),
+            Protocol::ODoH => self.odoh_probe(a, client, target, domain, cfg, rng, log),
         }
     }
 
@@ -1355,28 +1215,25 @@ impl Prober {
     /// there an injected rate limit surfaces as a 429 before any DNS
     /// payload matters, while on bare transports (Do53/DoT/DoQ) the
     /// overloaded frontend sheds load by answering SERVFAIL instead.
-    #[allow(clippy::too_many_arguments)]
     fn serve(
         &self,
         target: &mut ProbeTarget,
         query: &Message,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        effects: &FaultEffects,
+        a: &Attempt,
         http_layer: bool,
         rng: &mut SimRng,
     ) -> (SimDuration, bool, Rcode, Vec<u8>) {
-        let (server_time, resolution) = target.instance.server_mut(site).handle_query_loaded(
+        let (server_time, resolution) = target.instance.server_mut(a.site).handle_query_loaded(
             domain,
             RecordType::A,
             &self.authorities,
-            now,
-            effects.slowdown,
-            effects.offered_load_qps,
+            a.now,
+            a.effects.slowdown,
+            a.effects.offered_load_qps,
             rng,
         );
-        let shed = effects.servfail || (!http_layer && effects.rate_limited);
+        let shed = a.effects.servfail || (!http_layer && a.effects.rate_limited);
         let rcode = if shed {
             Rcode::ServFail
         } else {
@@ -1419,18 +1276,11 @@ impl Prober {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn doh_probe(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         target: &mut ProbeTarget,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
@@ -1443,13 +1293,14 @@ impl Prober {
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
         let query_wire = query.encode().expect("query encodes");
         let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
 
         // TCP + TLS (skipped entirely on a pooled connection).
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
+        let (mut tcp, connect, tls_time) =
+            match a.warm.tcp_tls_setup(&a.path, a.hooks, rng, &mut t, log) {
+                Ok(ok) => ok,
+                Err(fail) => return fail,
+            };
 
         // Build the HTTP/2 request with real wire bytes.
         let (http_path, body) = if cfg.doh_get {
@@ -1475,13 +1326,13 @@ impl Prober {
         // Server side. The authoritative rcode travels inside the encoded
         // response; the client re-derives it by decoding the HTTP body.
         let (server_time, cache_hit, _rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, true, rng);
-        let base_status = if health == ProbeHealth::HttpError {
+            self.serve(target, &query, domain, a, true, rng);
+        let base_status = if a.health == ProbeHealth::HttpError {
             500
         } else {
             200
         };
-        let http_status = hooks.http_status(base_status);
+        let http_status = a.hooks.http_status(base_status);
         let content_type = HeaderField::new("content-type", "application/dns-message");
 
         // HTTP/1.1-only servers don't offer h2 in their ALPN; the client
@@ -1491,7 +1342,7 @@ impl Prober {
             let resp_wire =
                 transport::h1_encode_response(http_status, &[content_type], &dns_response);
             let out = match tcp.request_response_traced(
-                path,
+                &a.path,
                 req_wire.len(),
                 resp_wire.len(),
                 server_time,
@@ -1518,7 +1369,7 @@ impl Prober {
             }
         } else {
             let mut h2 = H2Connection::new();
-            if warm.is_reused() {
+            if a.warm.is_reused() {
                 // A pooled connection already carried one request: burn an
                 // encode so the HPACK tables are warm and the preface is
                 // spent — the round trip below then produces exactly the
@@ -1527,7 +1378,7 @@ impl Prober {
             }
             let result = h2.round_trip_traced(
                 &mut tcp,
-                path,
+                &a.path,
                 &req,
                 |sid, enc| {
                     H2Connection::encode_response(
@@ -1577,7 +1428,7 @@ impl Prober {
         }
         // Decode and validate the DNS payload.
         match Message::decode(&body) {
-            Ok(msg) => Self::check_rcode(msg.rcode(), timings, cache_hit, site),
+            Ok(msg) => Self::check_rcode(msg.rcode(), timings, cache_hit, a.site),
             Err(_) => ProbeOutcome::Failure {
                 kind: ProbeErrorKind::DnsError,
                 elapsed: timings.total(),
@@ -1585,18 +1436,11 @@ impl Prober {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn dot_probe(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         target: &mut ProbeTarget,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
@@ -1605,18 +1449,19 @@ impl Prober {
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
         let query_wire = query.encode().expect("query encodes");
         let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
 
-        let (mut tcp, connect, tls_time) = match warm.tcp_tls_setup(path, hooks, rng, &mut t, log) {
-            Ok(ok) => ok,
-            Err(fail) => return fail,
-        };
+        let (mut tcp, connect, tls_time) =
+            match a.warm.tcp_tls_setup(&a.path, a.hooks, rng, &mut t, log) {
+                Ok(ok) => ok,
+                Err(fail) => return fail,
+            };
         let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, false, rng);
-        if health == ProbeHealth::HttpError {
+            self.serve(target, &query, domain, a, false, rng);
+        if a.health == ProbeHealth::HttpError {
             // DoT has no HTTP layer; the analogous failure is a ServFail.
             let out = tcp.request_response_traced(
-                path,
+                &a.path,
                 2 + query_wire.len(),
                 2 + 12,
                 server_time,
@@ -1641,7 +1486,7 @@ impl Prober {
         // detlint:allow(unwrap, simulated responses are far below the 64 KiB TCP framing limit)
         let framed_response = dns_wire::tcp_frame::frame(&dns_response).expect("response frames");
         match tcp.request_response_traced(
-            path,
+            &a.path,
             framed_query.len(),
             framed_response.len(),
             server_time,
@@ -1661,7 +1506,7 @@ impl Prober {
                     server_time,
                     dns_decode,
                 );
-                Self::check_rcode(rcode, timings, cache_hit, site)
+                Self::check_rcode(rcode, timings, cache_hit, a.site)
             }
             Err(e) => ProbeOutcome::Failure {
                 kind: e.into(),
@@ -1670,16 +1515,11 @@ impl Prober {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn do53_probe(
         &self,
+        a: &Attempt,
         target: &mut ProbeTarget,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
@@ -1687,10 +1527,10 @@ impl Prober {
         // Plain DNS has no connection; refused/TLS failures manifest as
         // silence (dig retries then times out).
         let dead = matches!(
-            health,
+            a.health,
             ProbeHealth::Refusing | ProbeHealth::TlsBroken | ProbeHealth::BadCertificate
         );
-        let mut path = path.clone();
+        let mut path = a.path.clone();
         if dead {
             path.extra_loss = 1.0;
         }
@@ -1698,9 +1538,9 @@ impl Prober {
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
         let query_wire = query.encode().expect("query encodes");
         let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
         let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, false, rng);
+            self.serve(target, &query, domain, a, false, rng);
         // The datagram-level retransmit schedule is `dig`'s: one home for
         // the constants, shared with the probe-level retry layer.
         let policy = RetryPolicy::dig_defaults().as_flight_policy();
@@ -1727,13 +1567,13 @@ impl Prober {
                     server_time,
                     dns_decode,
                 );
-                if health == ProbeHealth::HttpError {
+                if a.health == ProbeHealth::HttpError {
                     return ProbeOutcome::Failure {
                         kind: ProbeErrorKind::DnsError,
                         elapsed: timings.total(),
                     };
                 }
-                Self::check_rcode(rcode, timings, cache_hit, site)
+                Self::check_rcode(rcode, timings, cache_hit, a.site)
             }
             Err(e) => ProbeOutcome::Failure {
                 kind: ProbeErrorKind::QueryTimeout,
@@ -1749,13 +1589,10 @@ impl Prober {
     #[allow(clippy::too_many_arguments)]
     fn odoh_probe(
         &self,
+        a: &Attempt,
         client: &Host,
         target: &mut ProbeTarget,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
@@ -1772,14 +1609,14 @@ impl Prober {
             AccessProfile::datacenter(),
         );
         // Relay → target leg between datacenters; target outages blackhole it.
-        let target_city = target.instance.servers[site].location();
+        let target_city = target.instance.servers[a.site].location();
         let mut relay_target = Path::between(
             relay.city.point,
             AccessProfile::datacenter(),
             target_city.point,
             AccessProfile::datacenter(),
         );
-        if health == ProbeHealth::Blackholed {
+        if a.health == ProbeHealth::Blackholed {
             relay_target.extra_loss = 1.0;
         }
 
@@ -1798,7 +1635,7 @@ impl Prober {
         // The encode phase covers building the query and sealing it to the
         // target's key (the sealed message is what goes on the wire).
         let dns_encode = encode_cost(sealed_query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
 
         // Connect to the relay (TCP + TLS).
         let refused_relay = false; // relays are modelled reliable
@@ -1840,9 +1677,10 @@ impl Prober {
         };
         t += tls.handshake_time.as_nanos();
 
-        // Target side: resolve and seal the response.
-        let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, true, rng);
+        // Target side: resolve and seal the response. The rcode reaches
+        // the client inside the sealed response.
+        let (server_time, cache_hit, _rcode, dns_response) =
+            self.serve(target, &query, domain, a, true, rng);
         let (_plain, kem) = match odoh::open_query(&key, &sealed_query) {
             Ok(ok) => ok,
             Err(_) => {
@@ -1896,9 +1734,9 @@ impl Prober {
         };
         // A rate-limited target answers the relay with a 429, which the
         // relay forwards to the client.
-        let http_status = if effects.rate_limited {
+        let http_status = if a.effects.rate_limited {
             429
-        } else if health == ProbeHealth::HttpError {
+        } else if a.health == ProbeHealth::HttpError {
             500
         } else {
             200
@@ -1965,10 +1803,7 @@ impl Prober {
             .and_then(|m| odoh::open_response(&key, &kem, &m))
             .and_then(|plain| Message::decode(&plain));
         match opened {
-            Ok(msg) if msg.rcode() == rcode => {
-                Self::check_rcode(msg.rcode(), timings, cache_hit, site)
-            }
-            Ok(msg) => Self::check_rcode(msg.rcode(), timings, cache_hit, site),
+            Ok(msg) => Self::check_rcode(msg.rcode(), timings, cache_hit, a.site),
             Err(_) => ProbeOutcome::Failure {
                 kind: ProbeErrorKind::DnsError,
                 elapsed: timings.total(),
@@ -1976,28 +1811,22 @@ impl Prober {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn doq_probe(
         &self,
-        warm: WarmStart,
+        a: &Attempt,
         target: &mut ProbeTarget,
         domain: &Name,
-        now: SimTime,
-        site: usize,
-        path: &Path,
-        hooks: FaultHooks,
-        health: ProbeHealth,
-        effects: &FaultEffects,
         cfg: ProbeConfig,
         rng: &mut SimRng,
         log: &mut SpanLog,
     ) -> ProbeOutcome {
-        if hooks.refuse_connect {
+        if a.hooks.refuse_connect {
             // QUIC: a closed port answers with ICMP unreachable ≈ one RTT.
-            let rtt = path
+            let rtt = a
+                .path
                 .sample_rtt(1200, 60, rng)
                 .unwrap_or(SimDuration::from_millis(300));
-            log.instant(now.as_nanos() + rtt.as_nanos(), "connection_refused");
+            log.instant(a.now.as_nanos() + rtt.as_nanos(), "connection_refused");
             return ProbeOutcome::Failure {
                 kind: ProbeErrorKind::ConnectionRefused,
                 elapsed: rtt,
@@ -2007,12 +1836,12 @@ impl Prober {
         // detlint:allow(unwrap, queries built by build_query are well-formed; encoding cannot fail)
         let query_wire = query.encode().expect("query encodes");
         let dns_encode = encode_cost(query_wire.len());
-        let mut t = record_codec_span(log, now.as_nanos(), Phase::DnsEncode, dns_encode);
-        let (mut quic, connect) = match warm.quic_setup(path, rng, &mut t, log) {
+        let mut t = record_codec_span(log, a.now.as_nanos(), Phase::DnsEncode, dns_encode);
+        let (mut quic, connect) = match a.warm.quic_setup(&a.path, rng, &mut t, log) {
             Ok(ok) => ok,
             Err(fail) => return fail,
         };
-        if hooks.tls_behavior == TlsServerBehavior::BadCertificate {
+        if a.hooks.tls_behavior == TlsServerBehavior::BadCertificate {
             // QUIC folds TLS 1.3 into its handshake: the certificate
             // arrives with the combined connect flight, so the client pays
             // the connect round trip and then aborts — same shape as the
@@ -2024,9 +1853,9 @@ impl Prober {
             };
         }
         let (server_time, cache_hit, rcode, dns_response) =
-            self.serve(target, &query, domain, now, site, effects, false, rng);
+            self.serve(target, &query, domain, a, false, rng);
         match quic.stream_exchange_traced(
-            path,
+            &a.path,
             2 + query_wire.len(),
             2 + dns_response.len(),
             server_time,
@@ -2048,13 +1877,13 @@ impl Prober {
                     server_time,
                     dns_decode,
                 );
-                if health == ProbeHealth::HttpError {
+                if a.health == ProbeHealth::HttpError {
                     return ProbeOutcome::Failure {
                         kind: ProbeErrorKind::DnsError,
                         elapsed: timings.total(),
                     };
                 }
-                Self::check_rcode(rcode, timings, cache_hit, site)
+                Self::check_rcode(rcode, timings, cache_hit, a.site)
             }
             Err(e) => ProbeOutcome::Failure {
                 kind: e.into(),

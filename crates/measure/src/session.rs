@@ -20,7 +20,10 @@
 //! at decide time (outage/blackhole, refused, broken TLS, expired
 //! certificate, link down) drops tickets *and* pooled connections before
 //! the attempt runs; any failed attempt does the same, so warm state only
-//! ever survives along an unbroken chain of successes.
+//! ever survives along an unbroken chain of successes. A pooled connection
+//! is also bound to the site it connected to: when a load spill moves an
+//! attempt to another site the pool entry is dropped, while the
+//! operator-scoped ticket can still resume there.
 
 use catalog::ReusePolicy;
 use netsim::{SimDuration, SimRng, SimTime};
@@ -132,6 +135,8 @@ struct CachedTicket {
 struct PooledConn {
     last_used: SimTime,
     srtt_hint: SimDuration,
+    /// The deployment site the connection terminates at.
+    site: usize,
 }
 
 /// True for protocols with per-connection session state. Do53 is
@@ -193,6 +198,8 @@ impl SessionState {
     /// tickets and idle pool entries are evicted lazily, and a granted
     /// 0-RTT flight consumes one replay-window slot.
     ///
+    /// `site` is the deployment site serving the attempt: a pooled
+    /// connection to any other site cannot carry it and is dropped.
     /// `conn_healthy` must be false whenever the sampled health or fault
     /// effects would prevent establishing (or keeping) a connection:
     /// blackholed / refusing / broken TLS / bad certificate / link down.
@@ -200,6 +207,7 @@ impl SessionState {
         &mut self,
         now: SimTime,
         protocol: Protocol,
+        site: usize,
         conn_healthy: bool,
         forced_cold: bool,
     ) -> ConnectionMode {
@@ -213,8 +221,12 @@ impl SessionState {
             return ConnectionMode::Cold;
         }
         self.evict(now);
-        if self.pool.is_some() {
-            return ConnectionMode::Reused;
+        match self.pool {
+            Some(pool) if pool.site == site => return ConnectionMode::Reused,
+            // A load spill moved the client to another site; the ticket
+            // below is operator-scoped and may still resume there.
+            Some(_) => self.pool = None,
+            None => {}
         }
         if self.ticket.is_some() {
             if protocol == Protocol::DoQ {
@@ -259,15 +271,18 @@ impl SessionState {
     /// ticket lifetimes eventually force a full handshake); a reused
     /// success only refreshes the pool's idle clock.
     ///
-    /// `connect` is the probe's connect-phase duration; it seeds the
-    /// pooled smoothed-RTT hint and (with `now`) the deterministic ticket
-    /// identity. Ticket identities never influence timing — the TLS model
-    /// only distinguishes `Some`/`None` — so minting them here keeps the
-    /// fast path and the reference path trivially in agreement.
+    /// `site` is the deployment site that served the probe; a pooled
+    /// connection stays bound to it. `connect` is the probe's
+    /// connect-phase duration; it seeds the pooled smoothed-RTT hint and
+    /// (with `now`) the deterministic ticket identity. Ticket identities
+    /// never influence timing — the TLS model only distinguishes
+    /// `Some`/`None` — so minting them here keeps the fast path and the
+    /// reference path trivially in agreement.
     pub fn on_success(
         &mut self,
         now: SimTime,
         protocol: Protocol,
+        site: usize,
         mode: ConnectionMode,
         connect: SimDuration,
     ) {
@@ -285,9 +300,9 @@ impl SessionState {
                     });
                     self.zero_rtt_remaining = self.policy.zero_rtt_window;
                 }
-                self.pool_insert(now, connect);
+                self.pool_insert(now, connect, site);
             }
-            ConnectionMode::Resumed => self.pool_insert(now, connect),
+            ConnectionMode::Resumed => self.pool_insert(now, connect, site),
             ConnectionMode::Reused => {
                 if let Some(pool) = &mut self.pool {
                     pool.last_used = now;
@@ -296,11 +311,12 @@ impl SessionState {
         }
     }
 
-    fn pool_insert(&mut self, now: SimTime, srtt_hint: SimDuration) {
+    fn pool_insert(&mut self, now: SimTime, srtt_hint: SimDuration, site: usize) {
         if self.policy.pool_idle_timeout_s > 0 {
             self.pool = Some(PooledConn {
                 last_used: now,
                 srtt_hint,
+                site,
             });
         }
     }
@@ -347,9 +363,9 @@ impl SessionState {
     }
 
     /// FNV-1a fingerprint of the warm state (ticket identity + expiry,
-    /// pool idle clock + RTT hint, 0-RTT window). Used by the checkpoint
-    /// determinism tests to assert kill+resume rebuilds identical session
-    /// state at every shard boundary.
+    /// pool idle clock + RTT hint + site, 0-RTT window). Used by the
+    /// checkpoint determinism tests to assert kill+resume rebuilds
+    /// identical session state at every shard boundary.
     pub fn fingerprint(&self) -> u64 {
         let mut s = String::with_capacity(96);
         match self.ticket {
@@ -362,9 +378,10 @@ impl SessionState {
         }
         match self.pool {
             Some(p) => s.push_str(&format!(
-                "pool={},{};",
+                "pool={},{},{};",
                 p.last_used.as_nanos(),
-                p.srtt_hint.as_nanos()
+                p.srtt_hint.as_nanos(),
+                p.site
             )),
             None => s.push_str("pool=-;"),
         }
@@ -415,19 +432,20 @@ mod tests {
     fn cold_start_then_pool_reuse_then_idle_eviction() {
         let mut s = state(ReusePolicy::production());
         assert_eq!(
-            s.decide(t(0), Protocol::DoH, true, false),
+            s.decide(t(0), Protocol::DoH, 0, true, false),
             ConnectionMode::Cold
         );
-        s.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         // Within the idle window: reused.
         assert_eq!(
-            s.decide(t(0), Protocol::DoH, true, false),
+            s.decide(t(0), Protocol::DoH, 0, true, false),
             ConnectionMode::Reused
         );
         assert_eq!(s.pool_srtt_hint(), Some(MS));
         s.on_success(
             t(100),
             Protocol::DoH,
+            0,
             ConnectionMode::Reused,
             SimDuration::ZERO,
         );
@@ -435,7 +453,7 @@ mod tests {
         assert_eq!(s.pool_srtt_hint(), Some(MS));
         // Past the 240 s idle timeout: pool gone, ticket still valid.
         assert_eq!(
-            s.decide(t(100 + 241), Protocol::DoH, true, false),
+            s.decide(t(100 + 241), Protocol::DoH, 0, true, false),
             ConnectionMode::Resumed
         );
     }
@@ -443,14 +461,14 @@ mod tests {
     #[test]
     fn ticket_expiry_forces_cold() {
         let mut s = state(ReusePolicy::hobbyist()); // 600 s tickets, 10 s pool
-        s.on_success(t(0), Protocol::DoT, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoT, 0, ConnectionMode::Cold, MS);
         assert_eq!(
-            s.decide(t(11), Protocol::DoT, true, false),
+            s.decide(t(11), Protocol::DoT, 0, true, false),
             ConnectionMode::Resumed
         );
         // Resumption does not refresh the ticket: at t=600 it is gone.
         assert_eq!(
-            s.decide(t(600), Protocol::DoT, true, false),
+            s.decide(t(600), Protocol::DoT, 0, true, false),
             ConnectionMode::Cold
         );
         assert!(s.ticket().is_none());
@@ -459,14 +477,14 @@ mod tests {
     #[test]
     fn zero_rtt_window_is_consumed_and_reset_by_cold_handshake() {
         let mut s = state(ReusePolicy::midsize()); // window 4
-        s.on_success(t(0), Protocol::DoQ, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoQ, 0, ConnectionMode::Cold, MS);
         assert_eq!(s.zero_rtt_remaining(), 4);
         for i in 0..4 {
             // Past the 60 s pool idle timeout each round, so the ticket
             // path is exercised.
             let now = t(100 * (i + 1));
             assert_eq!(
-                s.decide(now, Protocol::DoQ, true, false),
+                s.decide(now, Protocol::DoQ, 0, true, false),
                 ConnectionMode::Resumed,
                 "flight {i}"
             );
@@ -474,25 +492,25 @@ mod tests {
         // Window spent: full handshake even though the ticket is valid.
         assert_eq!(s.zero_rtt_remaining(), 0);
         assert_eq!(
-            s.decide(t(500), Protocol::DoQ, true, false),
+            s.decide(t(500), Protocol::DoQ, 0, true, false),
             ConnectionMode::Cold
         );
         // A cold success mints a fresh ticket and window.
-        s.on_success(t(500), Protocol::DoQ, ConnectionMode::Cold, MS);
+        s.on_success(t(500), Protocol::DoQ, 0, ConnectionMode::Cold, MS);
         assert_eq!(s.zero_rtt_remaining(), 4);
     }
 
     #[test]
     fn zero_rtt_disabled_policy_never_resumes_quic() {
         let mut s = state(ReusePolicy::hobbyist());
-        s.on_success(t(0), Protocol::DoQ, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoQ, 0, ConnectionMode::Cold, MS);
         assert_eq!(
-            s.decide(t(11), Protocol::DoQ, true, false),
+            s.decide(t(11), Protocol::DoQ, 0, true, false),
             ConnectionMode::Cold
         );
         // ...but TLS-over-TCP resumption still works under the same policy.
         assert_eq!(
-            s.decide(t(11), Protocol::DoT, true, false),
+            s.decide(t(11), Protocol::DoT, 0, true, false),
             ConnectionMode::Resumed
         );
     }
@@ -500,10 +518,10 @@ mod tests {
     #[test]
     fn unhealthy_connection_invalidates_everything() {
         let mut s = state(ReusePolicy::production());
-        s.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         assert!(s.ticket().is_some());
         assert_eq!(
-            s.decide(t(1), Protocol::DoH, false, false),
+            s.decide(t(1), Protocol::DoH, 0, false, false),
             ConnectionMode::Cold
         );
         assert!(s.ticket().is_none());
@@ -514,10 +532,10 @@ mod tests {
     #[test]
     fn failure_invalidates_everything() {
         let mut s = state(ReusePolicy::production());
-        s.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         s.on_failure();
         assert_eq!(
-            s.decide(t(1), Protocol::DoH, true, false),
+            s.decide(t(1), Protocol::DoH, 0, true, false),
             ConnectionMode::Cold
         );
     }
@@ -525,14 +543,43 @@ mod tests {
     #[test]
     fn forced_cold_keeps_state_alive() {
         let mut s = state(ReusePolicy::production());
-        s.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         assert_eq!(
-            s.decide(t(1), Protocol::DoH, true, true),
+            s.decide(t(1), Protocol::DoH, 0, true, true),
             ConnectionMode::Cold
         );
         // The forced-cold probe did not destroy the pool.
         assert_eq!(
-            s.decide(t(1), Protocol::DoH, true, false),
+            s.decide(t(1), Protocol::DoH, 0, true, false),
+            ConnectionMode::Reused
+        );
+    }
+
+    #[test]
+    fn pooled_connection_is_pinned_to_its_site() {
+        let mut s = state(ReusePolicy::production());
+        s.on_success(t(0), Protocol::DoH, 2, ConnectionMode::Cold, MS);
+        assert_eq!(
+            s.decide(t(1), Protocol::DoH, 2, true, false),
+            ConnectionMode::Reused
+        );
+        // A spill to site 5 cannot ride the site-2 connection: the pool
+        // entry is dropped and the operator-scoped ticket resumes instead.
+        assert_eq!(
+            s.decide(t(2), Protocol::DoH, 5, true, false),
+            ConnectionMode::Resumed
+        );
+        assert!(s.pool_srtt_hint().is_none());
+        assert!(s.ticket().is_some());
+        // Back on site 2 the dropped pool stays gone until a success
+        // re-pools a connection, which is then bound to the new site.
+        assert_eq!(
+            s.decide(t(3), Protocol::DoH, 2, true, false),
+            ConnectionMode::Resumed
+        );
+        s.on_success(t(3), Protocol::DoH, 5, ConnectionMode::Resumed, MS);
+        assert_eq!(
+            s.decide(t(4), Protocol::DoH, 5, true, false),
             ConnectionMode::Reused
         );
     }
@@ -540,14 +587,14 @@ mod tests {
     #[test]
     fn session_incapable_protocols_stay_cold() {
         let mut s = state(ReusePolicy::production());
-        s.on_success(t(0), Protocol::Do53, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::Do53, 0, ConnectionMode::Cold, MS);
         assert!(s.ticket().is_none());
         assert_eq!(
-            s.decide(t(0), Protocol::Do53, true, false),
+            s.decide(t(0), Protocol::Do53, 0, true, false),
             ConnectionMode::Cold
         );
         assert_eq!(
-            s.decide(t(0), Protocol::ODoH, true, false),
+            s.decide(t(0), Protocol::ODoH, 0, true, false),
             ConnectionMode::Cold
         );
     }
@@ -555,9 +602,9 @@ mod tests {
     #[test]
     fn none_policy_never_warms() {
         let mut s = state(ReusePolicy::none());
-        s.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        s.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         assert_eq!(
-            s.decide(t(0), Protocol::DoH, true, false),
+            s.decide(t(0), Protocol::DoH, 0, true, false),
             ConnectionMode::Cold
         );
     }
@@ -587,12 +634,12 @@ mod tests {
     fn fingerprint_tracks_state_transitions() {
         let mut a = state(ReusePolicy::production());
         let cold = a.fingerprint();
-        a.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        a.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         let warm = a.fingerprint();
         assert_ne!(cold, warm);
         // Same transitions on a fresh state reproduce the fingerprint.
         let mut b = state(ReusePolicy::production());
-        b.on_success(t(0), Protocol::DoH, ConnectionMode::Cold, MS);
+        b.on_success(t(0), Protocol::DoH, 0, ConnectionMode::Cold, MS);
         assert_eq!(b.fingerprint(), warm);
         a.invalidate_all();
         assert_eq!(a.fingerprint(), cold);

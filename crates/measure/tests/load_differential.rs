@@ -9,10 +9,12 @@
 //! path for a live model, a zero model never builds pair load state, and
 //! the unloaded path itself still matches the per-probe reference build.
 //! A live model, by contrast, MUST change output (otherwise the sweep
-//! measures nothing) — asserted here too, along with thread-count
-//! invariance of the loaded path itself.
+//! measures nothing) — asserted here too. The loaded fast path is held to
+//! the per-probe reference, which recomputes every attempt's site from
+//! the model (`offered_site_qps` + `route_loaded` + the shed hash) instead
+//! of the pair-constant `PairLoad` tables, and to a 3-thread run.
 
-use measure::{Campaign, CampaignConfig, LoadModel, Protocol, RetryPolicy};
+use measure::{Campaign, CampaignConfig, LoadModel, ProbeOutcome, Protocol, RetryPolicy};
 use netsim::SimDuration;
 use proptest::prelude::*;
 
@@ -57,7 +59,11 @@ fn config(seed: u64, protocol: Protocol, faulted: bool, retry: RetryPolicy) -> C
 }
 
 fn campaign_with(config: CampaignConfig) -> Campaign {
-    let entries = HOSTS
+    campaign_of(config, &HOSTS)
+}
+
+fn campaign_of(config: CampaignConfig, hosts: &[&str]) -> Campaign {
+    let entries = hosts
         .iter()
         .map(|h| catalog::resolvers::find(h).unwrap())
         .collect();
@@ -136,6 +142,63 @@ fn live_load_changes_output_and_is_thread_invariant() {
         loaded.run().to_json_lines(),
         "loaded campaign must be rerun-deterministic"
     );
+}
+
+/// Sites that served successful `dns.google` probes.
+fn google_sites(records: &[measure::ProbeRecord]) -> Vec<usize> {
+    let mut sites: Vec<usize> = records
+        .iter()
+        .filter(|r| r.resolver() == "dns.google")
+        .filter_map(|r| match r.outcome {
+            ProbeOutcome::Success { site, .. } => Some(site),
+            ProbeOutcome::Failure { .. } => None,
+        })
+        .collect();
+    sites.sort_unstable();
+    sites.dedup();
+    sites
+}
+
+#[test]
+fn live_load_fast_matches_reference_and_three_threads() {
+    // 8x sheds and queues on the single-site hosts; at 10 000x, model
+    // seed 12 moves dns.google from six of the seven vantages to site 0
+    // during the day's second round. The roster adds a host with a residential peering
+    // penalty, which the reference applies to its picked path itself.
+    let hosts = [HOSTS[0], HOSTS[1], HOSTS[2], "doh.la.ahadns.net"];
+    for (label, model) in [
+        ("8x", LoadModel::standard(12).with_multiplier(8.0)),
+        ("10 000x", LoadModel::standard(12).with_multiplier(10_000.0)),
+    ] {
+        for protocol in PROTOCOLS {
+            let base = config(12, protocol, true, RetryPolicy::dig_defaults());
+            let unloaded = campaign_of(base.clone(), &hosts).run();
+            let loaded = campaign_of(base.with_load(model.clone()), &hosts);
+            let fast = loaded.run();
+            let context = format!("{label}, {protocol:?}, faulted, dig retries");
+            assert_ne!(
+                fast.records, unloaded.records,
+                "a live model must change output: {context}"
+            );
+            assert_eq!(
+                fast.to_json_lines(),
+                loaded.run_reference().to_json_lines(),
+                "loaded fast path diverged from the reference: {context}"
+            );
+            assert_eq!(
+                fast.records,
+                loaded.run_parallel(3).records,
+                "loaded 3-thread run diverged from serial: {context}"
+            );
+            if label == "10 000x" {
+                assert_ne!(
+                    google_sites(&fast.records),
+                    google_sites(&unloaded.records),
+                    "the spill must move dns.google off its unloaded sites: {context}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -252,12 +252,12 @@ proptest! {
             let fl = live.draw_forced_cold(&scfg);
             let fr = replay.draw_forced_cold(&scfg);
             prop_assert_eq!(fl, fr, "schedule stream diverged");
-            let ml = live.decide(t, Protocol::DoH, true, fl);
-            let mr = replay.decide(t, Protocol::DoH, true, fr);
+            let ml = live.decide(t, Protocol::DoH, 0, true, fl);
+            let mr = replay.decide(t, Protocol::DoH, 0, true, fr);
             prop_assert_eq!(ml, mr, "decision diverged");
             if ok {
-                live.on_success(t, Protocol::DoH, ml, SimDuration::from_millis(12));
-                replay.on_success(t, Protocol::DoH, mr, SimDuration::from_millis(12));
+                live.on_success(t, Protocol::DoH, 0, ml, SimDuration::from_millis(12));
+                replay.on_success(t, Protocol::DoH, 0, mr, SimDuration::from_millis(12));
             } else {
                 live.on_failure();
                 replay.on_failure();

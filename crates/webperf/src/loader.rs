@@ -126,9 +126,12 @@ impl Loader {
             resolver.entry.reuse_policy(),
             resolver.entry.coalesce_key(),
         );
+        // The prober routes every resolution to the resolver's unloaded
+        // site, so the session's pooled connection always terminates there.
+        let (site, _) = resolver.instance.route(client);
         for domain in page.domains() {
             let forced_cold = session.draw_forced_cold(&scfg);
-            let mode = session.decide(now, cfg.protocol, true, forced_cold);
+            let mode = session.decide(now, cfg.protocol, site, true, forced_cold);
             let (outcome, _) = self
                 .prober
                 .probe(client, resolver, &domain, now, is_home, cfg, rng);
@@ -140,7 +143,7 @@ impl Loader {
                             timings.exchange().as_millis_f64()
                         }
                     };
-                    session.on_success(now, cfg.protocol, mode, timings.connect);
+                    session.on_success(now, cfg.protocol, site, mode, timings.connect);
                     dns_times_ms.insert(domain, ms);
                 }
                 ProbeOutcome::Failure { .. } => {

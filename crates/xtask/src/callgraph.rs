@@ -37,7 +37,8 @@
 //!   `SimRng` draw or a raw `Rng` trait draw; direct draws in the
 //!   annotated body are reported too. Same attribution as above.
 //! * `panic-reach` — every fn reachable from the hot-path roots
-//!   (`run_pair`, `probe_pair`) must be panic-free: `panic!` / `.unwrap()`
+//!   ([`PANIC_REACH_ROOTS`]: `run_pair`, `probe_pair`, `drive_probe`) must
+//!   be panic-free: `panic!` / `.unwrap()`
 //!   / `.expect()` are reported at the panicking line unless a reasoned
 //!   `detlint:allow(panic-reach, …)` — or the `unwrap` rule's existing
 //!   allow — covers it. Files that are `unwrap`-exempt by path policy
@@ -48,8 +49,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::rules::{Finding, Rule};
 use crate::symbols::{Callee, FnSymbol, SymbolIndex};
 
-/// Names of the hot-path entry points that seed `panic-reach`.
-pub const PANIC_REACH_ROOTS: [&str; 2] = ["run_pair", "probe_pair"];
+/// Names of the hot-path entry points that seed `panic-reach`: the
+/// campaign's per-pair loop, its fast probe entry and the one probe
+/// driver behind every probe. Roots resolve by name, and an unresolved
+/// root silently shrinks the rule, so a workspace test requires each to
+/// name a linkable, non-test fn.
+pub const PANIC_REACH_ROOTS: [&str; 3] = ["run_pair", "probe_pair", "drive_probe"];
 
 /// One resolved call edge.
 #[derive(Debug, Clone, Copy)]

@@ -178,6 +178,12 @@ pub fn lint_files(files: &[(String, String)], detect_unused: bool) -> Report {
 /// `examples/` are out of scope: tests and benches are exempt by policy,
 /// and compat code is third-party idiom we deliberately do not rewrite.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
+    Ok(lint_files(&workspace_sources(root)?, true))
+}
+
+/// Every first-party library source in scope for [`lint_workspace`], as
+/// sorted `(repo-relative path, source)` pairs.
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
@@ -202,7 +208,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(&file)?));
     }
-    Ok(lint_files(&sources, true))
+    Ok(sources)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -262,6 +268,26 @@ mod tests {
             "detlint findings:\n{}",
             report.render_text()
         );
+    }
+
+    #[test]
+    fn panic_reach_roots_resolve_in_the_workspace() {
+        // `panic-reach` seeds its traversal by fn name and reports nothing
+        // when no root resolves, so renaming a hot-path entry point would
+        // switch the rule off without a word. Every root must name at
+        // least one linkable, non-test fn of the real workspace.
+        let mut index = SymbolIndex::default();
+        for (rel, src) in workspace_sources(&workspace_root()).expect("scan workspace") {
+            index.index_file(&rel, &lexer::lex(&src));
+        }
+        for root in callgraph::PANIC_REACH_ROOTS {
+            assert!(
+                index
+                    .by_name(root)
+                    .any(|id| !index.fns[id].in_test && index.fns[id].linkable),
+                "panic-reach root `{root}` names no linkable, non-test fn in the workspace"
+            );
+        }
     }
 
     #[test]
