@@ -6,11 +6,14 @@
 //! cargo run --release -p bench --bin shard_golden_regen
 //! ```
 //!
-//! The fixture pins the complete `manifest.ckpt` bytes (header, checksum,
-//! per-shard record/byte counts, and aggregate cells) for a fixed-seed
-//! campaign split into five shards; `crates/measure/tests/shard_golden.rs`
-//! asserts the scheduler reproduces them byte-for-byte and that the
-//! assembled JSONL still matches the one-shot golden fixture.
+//! The fixture pins the complete v3 `manifest.ckpt` bytes (header,
+//! checksum, per-shard record counts, and the size and checksum of each
+//! shard's data file, key index and sidecar) for a fixed-seed campaign
+//! split into five shards; `crates/measure/tests/shard_golden.rs` asserts
+//! the scheduler reproduces them byte-for-byte and that the assembled
+//! JSONL still matches the one-shot golden fixture. The v2 fixture
+//! (`shard_manifest_seed4.ckpt`) is a frozen record of the previous
+//! format and is not written here.
 
 use measure::{Campaign, CampaignConfig, ShardedRunner};
 
@@ -36,9 +39,9 @@ fn main() {
     let outcome = runner.run(2).unwrap();
 
     let manifest = std::fs::read_to_string(scratch.join("manifest.ckpt")).unwrap();
-    std::fs::write(golden.join("shard_manifest_seed4.ckpt"), &manifest).unwrap();
+    std::fs::write(golden.join("shard_manifest_v3_seed4.ckpt"), &manifest).unwrap();
     eprintln!(
-        "wrote shard_manifest_seed4.ckpt ({} bytes, {} records across 5 shards)",
+        "wrote shard_manifest_v3_seed4.ckpt ({} bytes, {} records across 5 shards)",
         manifest.len(),
         outcome.records
     );

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use edns_stats::{Availability, LatencySketch};
 use obs::Label;
 
-use crate::campaign::Campaign;
+use crate::campaign::{Campaign, PairPlan};
 use crate::results::{ProbeOutcome, ProbeRecord};
 
 /// The sketch cell shared by per-pair aggregates and their rollups.
@@ -91,7 +91,11 @@ pub struct CampaignAggregates {
 impl CampaignAggregates {
     /// Empty aggregates shaped for `campaign`'s pair space.
     pub fn for_campaign(campaign: &Campaign) -> CampaignAggregates {
-        let plans = campaign.pair_plans();
+        CampaignAggregates::for_plans(&campaign.pair_plans())
+    }
+
+    /// Empty cells for an already-built pair plan list.
+    pub(crate) fn for_plans(plans: &[PairPlan]) -> CampaignAggregates {
         let mut pairs = Vec::with_capacity(plans.len());
         let mut index = BTreeMap::new();
         for (i, p) in plans.iter().enumerate() {

@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use edns_stats::{Availability, LatencySketch};
 use obs::{DaySeries, Label};
 
-use crate::campaign::Campaign;
+use crate::campaign::{Campaign, PairPlan};
 use crate::json::Json;
 use crate::results::{ProbeOutcome, ProbeRecord};
 
@@ -104,13 +104,14 @@ pub struct HealthSeries {
 impl HealthSeries {
     /// An empty series shaped for `campaign`'s pair space.
     pub fn for_campaign(campaign: &Campaign) -> HealthSeries {
+        HealthSeries::for_plans(&campaign.pair_plans())
+    }
+
+    /// An empty series for an already-built pair plan list.
+    pub(crate) fn for_plans(plans: &[PairPlan]) -> HealthSeries {
         HealthSeries {
             pairs: DaySeries::new(),
-            pair_resolvers: campaign
-                .pair_plans()
-                .iter()
-                .map(|p| p.resolver_label)
-                .collect(),
+            pair_resolvers: plans.iter().map(|p| p.resolver_label).collect(),
         }
     }
 
@@ -172,15 +173,6 @@ impl HealthSeries {
     /// Total probes across all cells.
     pub fn probes(&self) -> u64 {
         self.pair_cells().map(|(_, c)| c.probes()).sum()
-    }
-
-    /// The day's total for one pair across all its days (checkpoint
-    /// cross-validation).
-    pub fn pair_probes(&self, pair: u32) -> u64 {
-        self.pair_cells()
-            .filter(|((p, _), _)| *p == pair)
-            .map(|(_, c)| c.probes())
-            .sum()
     }
 
     /// Reduces to (resolver, day) rows: pair cells merge in pair-index

@@ -5,15 +5,23 @@
 //! whole pair always lives in exactly one shard — the per-pair RNG stream
 //! is sequential, so a pair can never be split without replaying it.
 //! Shards execute independently (work-queue over a thread pool, or one at
-//! a time via [`ShardedRunner::advance`]); each completed shard writes its
-//! records as a JSONL data file (tmp + rename, so a crash never leaves a
-//! torn file under the real name) and checkpoints its per-pair aggregate
-//! cells into the campaign [`Manifest`].
+//! a time via [`ShardedRunner::advance`]). Each completed shard writes
+//! three files, each tmp + rename so a crash never leaves a torn file
+//! under the real name: its records as JSONL (`shard-NNNN.jsonl`), a
+//! fixed-width key index with one merge key and line length per record
+//! (`shard-NNNN.keys`), and a state sidecar with its aggregate cells,
+//! per-(pair, day) health cells, metrics registry and retry-exhaustion
+//! events (`shard-NNNN.state`). The shard then commits by rewriting the
+//! campaign [`Manifest`], which records only each shard's status and the
+//! size and checksum of its three files — a few KB, however long the
+//! campaign.
 //!
-//! *Assembly* streams the shard files through a k-way merge into the final
-//! campaign JSONL, folding each record into the metrics registry and
-//! installing checkpointed aggregate cells — memory stays O(shards) buffer
-//! heads + O(pairs) cells, never O(records).
+//! *Assembly* is a byte copy: a k-way merge over the key-index heads
+//! copies each record's line from its shard file into the final campaign
+//! JSONL without parsing it. The metrics snapshot is the union of the
+//! per-shard registries; aggregates, health and drift install from the
+//! sidecars. Memory stays O(shards) buffered readers + O(pairs × days)
+//! cells, never O(records).
 //!
 //! Determinism contract (DESIGN.md §9): for any seed, shard count, thread
 //! count, and any kill/resume schedule,
@@ -26,13 +34,14 @@
 //! aggregate cells. Within a shard, records merge by the same
 //! `(time, pair rank, domain rank)` key the one-shot engine uses; across
 //! shards the key is globally unique per pair (duplicate pairs are
-//! rejected at construction), so the k-way merge over shard files
+//! rejected at construction), so the k-way merge over the key indexes
 //! reproduces the one-shot order exactly.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
+use std::fs::File;
+use std::io::{BufReader, Read, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -41,20 +50,20 @@ use netsim::faults::FaultScope;
 use obs::clock::Stopwatch;
 use obs::journal::codes;
 use obs::{
-    EventData, EventLevel, Journal, JournalEvent, Label, MetricsRegistry, MetricsSnapshot,
-    ShardRunMetrics, SpanLog,
+    CellSnapshot, EventData, EventLevel, Journal, JournalEvent, Label, MetricsRegistry,
+    MetricsSnapshot, ShardRunMetrics, SpanLog,
 };
 
 use crate::aggregate::{CampaignAggregates, PairAggregate};
-use crate::campaign::{observe_record, Campaign};
+use crate::campaign::{observe_record, Campaign, PairPlan};
 use crate::checkpoint::{
-    fnv64, CheckpointError, Manifest, PairDayHealth, ShardCheckpoint, ShardState,
-    CHECKPOINT_VERSION,
+    fnv64, write_atomic, CheckpointError, FileDigest, KeyEntry, Manifest, PairDayHealth,
+    RetryExhaustion, ShardCheckpoint, ShardSidecar, ShardState, CHECKPOINT_VERSION,
+    KEY_ENTRY_BYTES,
 };
 use crate::health::{
     day_of, detect_drift, DriftConfig, DriftFinding, HealthCell, HealthSeries, NANOS_PER_DAY,
 };
-use crate::json;
 use crate::results::{ProbeOutcome, ProbeRecord};
 
 /// The manifest's file name inside a checkpoint directory.
@@ -102,6 +111,9 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 8_192;
 #[derive(Debug)]
 pub struct ShardedRunner<'a> {
     campaign: &'a Campaign,
+    /// The campaign's pair plans, built once: shard ranges, the
+    /// fingerprint, execution and assembly all index this list.
+    plans: Vec<PairPlan>,
     shards: u32,
     dir: PathBuf,
     /// Journal ring capacity; 0 disables the journal entirely.
@@ -145,6 +157,7 @@ impl<'a> ShardedRunner<'a> {
         Ok(ShardedRunner {
             campaign,
             shards: shards.min(plans.len().max(1) as u32),
+            plans,
             dir,
             journal_capacity: DEFAULT_JOURNAL_CAPACITY,
             progress: false,
@@ -192,13 +205,19 @@ impl<'a> ShardedRunner<'a> {
 
     /// The data-file path of shard `index`.
     pub fn shard_path(&self, index: u32) -> PathBuf {
-        self.dir.join(format!("shard-{index:04}.jsonl"))
+        self.shard_file(index, "jsonl")
+    }
+
+    /// The path of shard `index`'s file with extension `ext`: `jsonl`
+    /// (data), `keys` (key index) or `state` (sidecar).
+    fn shard_file(&self, index: u32, ext: &str) -> PathBuf {
+        self.dir.join(format!("shard-{index:04}.{ext}"))
     }
 
     /// Pair range of shard `index`: contiguous and balanced (sizes differ
     /// by at most one).
     pub fn shard_range(&self, index: u32) -> Range<usize> {
-        let pairs = self.campaign.pair_plans().len();
+        let pairs = self.plans.len();
         let k = self.shards as usize;
         let i = index as usize;
         (i * pairs / k)..((i + 1) * pairs / k)
@@ -258,7 +277,7 @@ impl<'a> ShardedRunner<'a> {
         if let Some(session) = config.session.as_ref().filter(|s| s.is_live()) {
             let _ = write!(s, "session={},{};", session.reuse, session.cold_fraction);
         }
-        for p in self.campaign.pair_plans() {
+        for p in &self.plans {
             let _ = write!(
                 s,
                 "pair={}/{};",
@@ -270,10 +289,11 @@ impl<'a> ShardedRunner<'a> {
     }
 
     /// Loads the manifest if one exists and belongs to this configuration,
-    /// re-validating every complete shard's data file; otherwise starts a
-    /// fresh one. A manifest for a different configuration, a corrupt
-    /// manifest, or a complete shard whose data file is missing or fails
-    /// its checksum is a typed error — never a silent restart.
+    /// re-validating every complete shard's data file, key index and
+    /// sidecar against their recorded sizes and checksums; otherwise
+    /// starts a fresh one. A manifest for a different configuration, a
+    /// corrupt manifest, or a complete shard with a missing or altered
+    /// file is a typed error — never a silent restart.
     pub fn load_or_init(&self) -> Result<Manifest, CheckpointError> {
         let path = self.manifest_path();
         if !path.exists() {
@@ -281,7 +301,7 @@ impl<'a> ShardedRunner<'a> {
                 self.fingerprint(),
                 self.campaign.config().seed,
                 self.shards,
-                self.campaign.pair_plans().len() as u32,
+                self.plans.len() as u32,
             ));
         }
         let manifest = Manifest::load(&path)?;
@@ -301,40 +321,26 @@ impl<'a> ShardedRunner<'a> {
         }
         for (i, state) in manifest.states.iter().enumerate() {
             if let ShardState::Complete(c) = state {
-                self.validate_shard_file(i as u32, c)?;
+                let i = i as u32;
+                if c.records.checked_mul(KEY_ENTRY_BYTES as u64) != Some(c.keys.bytes) {
+                    return Err(CheckpointError::ShardData(format!(
+                        "shard {i}: key index of {} bytes cannot hold {} records",
+                        c.keys.bytes, c.records
+                    )));
+                }
+                c.data.validate(&self.shard_file(i, "jsonl"))?;
+                c.keys.validate(&self.shard_file(i, "keys"))?;
+                c.sidecar.validate(&self.shard_file(i, "state"))?;
             }
         }
         Ok(manifest)
     }
 
-    fn validate_shard_file(&self, index: u32, c: &ShardCheckpoint) -> Result<(), CheckpointError> {
-        let path = self.shard_path(index);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| CheckpointError::ShardData(format!("read {}: {e}", path.display())))?;
-        if bytes.len() as u64 != c.bytes {
-            return Err(CheckpointError::ShardData(format!(
-                "{} is {} bytes, manifest says {}",
-                path.display(),
-                bytes.len(),
-                c.bytes
-            )));
-        }
-        let sum = fnv64(&bytes);
-        if sum != c.checksum {
-            return Err(CheckpointError::ShardData(format!(
-                "{} hashes to {sum:016x}, manifest says {:016x}",
-                path.display(),
-                c.checksum
-            )));
-        }
-        Ok(())
-    }
-
-    /// Executes shard `index` and persists its data file (tmp + rename).
+    /// Executes shard `index` and persists its data file, key index and
+    /// sidecar (each tmp + rename). The returned entry commits them.
     fn execute_shard(&self, index: u32) -> Result<ShardCheckpoint, CheckpointError> {
-        let plans = self.campaign.pair_plans();
         let range = self.shard_range(index);
-        let shard_plans = &plans[range.clone()];
+        let shard_plans = &self.plans[range.clone()];
         let outputs: Vec<Vec<ProbeRecord>> = shard_plans
             .iter()
             .map(|p| self.campaign.run_pair(p))
@@ -344,7 +350,7 @@ impl<'a> ShardedRunner<'a> {
         // folded in each pair's own canonical order (merging never
         // reorders records within a pair) — so the checkpointed health
         // series is independent of shard count and resume schedule.
-        let mut cells = Vec::with_capacity(shard_plans.len());
+        let mut pairs = Vec::with_capacity(shard_plans.len());
         let mut health: Vec<PairDayHealth> = Vec::new();
         for (offset, records) in outputs.iter().enumerate() {
             let plan = &shard_plans[offset];
@@ -360,32 +366,74 @@ impl<'a> ShardedRunner<'a> {
                 agg.cell.observe(r);
                 days.entry(day_of(r.at.as_nanos())).or_default().observe(r);
             }
-            cells.push(agg);
+            pairs.push(agg);
             health.extend(
                 days.into_iter()
                     .map(|(day, cell)| PairDayHealth { pair, day, cell }),
             );
         }
 
+        // One pass over the merged records writes each line, its key-index
+        // entry, its metrics observation and any retry exhaustion. A
+        // metrics cell belongs to one pair, and merging keeps each pair's
+        // record order, so this registry folds every cell exactly as the
+        // one-shot fold over all records does.
+        let ranks: HashMap<(Label, Label), u32> = shard_plans
+            .iter()
+            .map(|p| ((p.vantage_label, p.resolver_label), p.order))
+            .collect();
         let merged = self.campaign.merge_pairs(outputs, shard_plans);
         let mut body = String::new();
+        let mut keys = Vec::with_capacity(merged.len() * KEY_ENTRY_BYTES);
+        let mut registry = MetricsRegistry::new();
+        let mut exhausted = Vec::new();
         for r in &merged {
+            let start = body.len();
             r.write_json_line(&mut body);
             body.push('\n');
+            // Every record belongs to one of the shard's pairs; a miss would
+            // be written as rank u32::MAX, which assembly rejects.
+            let pair = ranks
+                .get(&(r.vantage_id(), r.resolver_id()))
+                .copied()
+                .unwrap_or(u32::MAX);
+            let entry = KeyEntry {
+                at: r.at.as_nanos(),
+                pair,
+                domain: self.campaign.domain_rank(r.domain_id()),
+                len: (body.len() - start) as u32,
+            };
+            keys.extend_from_slice(&entry.to_bytes());
+            observe_record(&mut registry, r);
+            if let (ProbeOutcome::Failure { .. }, Some(retry)) = (&r.outcome, &r.retry) {
+                if retry.exhausted() {
+                    exhausted.push(RetryExhaustion {
+                        at: entry.at,
+                        resolver: r.resolver_id(),
+                        vantage: r.vantage_id(),
+                        attempts: retry.attempts,
+                    });
+                }
+            }
         }
-        let path = self.shard_path(index);
-        let tmp = path.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, &body)
-            .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", path.display())))?;
+        let sidecar = ShardSidecar {
+            shard: index,
+            pairs,
+            health,
+            metrics: registry.snapshot(),
+            exhausted,
+        }
+        .encode();
+
+        write_atomic(&self.shard_file(index, "jsonl"), body.as_bytes())?;
+        write_atomic(&self.shard_file(index, "keys"), &keys)?;
+        write_atomic(&self.shard_file(index, "state"), sidecar.as_bytes())?;
         Ok(ShardCheckpoint {
             shard: index,
             records: merged.len() as u64,
-            bytes: body.len() as u64,
-            checksum: fnv64(body.as_bytes()),
-            pairs: cells,
-            health,
+            data: FileDigest::of(body.as_bytes()),
+            keys: FileDigest::of(&keys),
+            sidecar: FileDigest::of(sidecar.as_bytes()),
         })
     }
 
@@ -416,7 +464,7 @@ impl<'a> ShardedRunner<'a> {
         // never reach the JSONL export.
         for (i, state) in manifest.states.iter().enumerate() {
             if let ShardState::Complete(c) = state {
-                run.pairs_run.add(c.pairs.len() as u64);
+                run.pairs_run.add(self.shard_range(i as u32).len() as u64);
                 run.records_produced.add(c.records);
                 journal.record_ops(
                     0,
@@ -481,6 +529,8 @@ impl<'a> ShardedRunner<'a> {
 
     /// Commits one completed shard: updates the manifest state and
     /// rewrites the manifest atomically (this is the resume boundary).
+    /// The manifest is encoded once and those bytes are what is stored
+    /// and counted.
     fn commit_shard(
         &self,
         shared: &Mutex<(Manifest, ShardRunMetrics)>,
@@ -489,16 +539,16 @@ impl<'a> ShardedRunner<'a> {
     ) -> Result<(), CheckpointError> {
         let mut guard = shared.lock().unwrap_or_else(|p| p.into_inner());
         let (manifest, run) = &mut *guard;
-        run.shards_executed.add(1);
-        run.pairs_run.add(checkpoint.pairs.len() as u64);
-        run.records_produced.add(checkpoint.records);
-        let index = checkpoint.shard as usize;
+        let index = checkpoint.shard;
         let records = checkpoint.records;
-        manifest.states[index] = ShardState::Complete(checkpoint);
-        let encoded_len = manifest.encode().len() as u64;
-        manifest.store(&self.manifest_path())?;
+        run.shards_executed.add(1);
+        run.pairs_run.add(self.shard_range(index).len() as u64);
+        run.records_produced.add(records);
+        manifest.states[index as usize] = ShardState::Complete(checkpoint);
+        let encoded = manifest.encode();
+        write_atomic(&self.manifest_path(), encoded.as_bytes())?;
         run.manifest_writes.add(1);
-        run.checkpoint_bytes.add(encoded_len);
+        run.checkpoint_bytes.add(encoded.len() as u64);
         // Operator feedback only — stderr, audited wall clock, and nothing
         // here flows into any deterministic output.
         if let Some(w) = watch {
@@ -534,212 +584,89 @@ impl<'a> ShardedRunner<'a> {
         Ok(manifest.states.iter().filter(|s| !s.is_complete()).count())
     }
 
-    /// Streams the completed shard files through a k-way merge into the
-    /// final campaign JSONL, rebuilding metrics and installing the
-    /// checkpointed aggregates. Memory: one buffered line per shard plus
-    /// the O(pairs) aggregate cells.
+    /// Installs the metrics, aggregates and health cells from the shard
+    /// sidecars, then assembles the final campaign JSONL by a k-way merge
+    /// over the shards' key indexes, copying each record's line from its
+    /// shard file without parsing it. Memory: two buffered readers per
+    /// shard plus the O(pairs × days) cells.
     fn assemble(
         &self,
         manifest: &Manifest,
         mut run: ShardRunMetrics,
         mut journal: Journal,
     ) -> Result<ShardedOutcome, CheckpointError> {
-        if !manifest.is_complete() {
-            return Err(CheckpointError::ShardData(
-                "cannot assemble: shards still pending".to_string(),
-            ));
-        }
-        let plans = self.campaign.pair_plans();
-        // (vantage, resolver) → merge rank, for head-line keying.
-        let ranks: BTreeMap<(Label, Label), u32> = plans
+        let complete = manifest
+            .states
             .iter()
-            .map(|p| ((p.vantage_label, p.resolver_label), p.order))
-            .collect();
-
-        struct Cursor {
-            reader: BufReader<std::fs::File>,
-            /// The head line (without trailing newline) and its record.
-            head: Option<(String, ProbeRecord)>,
-            first_at: u64,
-            last_at: u64,
-        }
-        let parse_line = |line: &str, path: &Path| -> Result<ProbeRecord, CheckpointError> {
-            let v = json::parse(line)
-                .map_err(|e| CheckpointError::ShardData(format!("{}: {e}", path.display())))?;
-            ProbeRecord::from_json(&v).ok_or_else(|| {
-                CheckpointError::ShardData(format!(
-                    "{}: line is not a probe record",
-                    path.display()
-                ))
+            .map(|s| match s {
+                ShardState::Complete(c) => Ok(c),
+                ShardState::Pending => Err(CheckpointError::ShardData(
+                    "cannot assemble: shards still pending".to_string(),
+                )),
             })
-        };
-        let advance_cursor = |cursor: &mut Cursor, path: &Path| -> Result<(), CheckpointError> {
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let n = cursor
-                    .reader
-                    .read_line(&mut line)
-                    .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
-                if n == 0 {
-                    cursor.head = None;
-                    return Ok(());
-                }
-                let trimmed = line.trim_end_matches('\n');
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let record = parse_line(trimmed, path)?;
-                cursor.head = Some((trimmed.to_string(), record));
-                return Ok(());
-            }
-        };
+            .collect::<Result<Vec<_>, _>>()?;
 
-        let mut cursors = Vec::with_capacity(self.shards as usize);
-        for i in 0..self.shards {
-            let path = self.shard_path(i);
-            let file = std::fs::File::open(&path)
-                .map_err(|e| CheckpointError::Io(format!("open {}: {e}", path.display())))?;
-            let mut cursor = Cursor {
-                reader: BufReader::new(file),
-                head: None,
-                first_at: 0,
-                last_at: 0,
-            };
-            advance_cursor(&mut cursor, &path)?;
-            if let Some((_, r)) = &cursor.head {
-                cursor.first_at = r.at.as_nanos();
-                cursor.last_at = cursor.first_at;
-            }
-            cursors.push(cursor);
-        }
-
-        let key = |r: &ProbeRecord| -> Result<(u64, u32, u32), CheckpointError> {
-            let rank = ranks
-                .get(&(r.vantage_id(), r.resolver_id()))
-                .copied()
-                .ok_or_else(|| {
-                    CheckpointError::ShardData(format!(
-                        "record for unknown pair ({}, {})",
-                        r.vantage_id().as_str(),
-                        r.resolver_id().as_str()
-                    ))
-                })?;
-            Ok((
-                r.at.as_nanos(),
-                rank,
-                self.campaign.domain_rank(r.domain_id()),
-            ))
-        };
-
-        // Min-heap over shard heads. The record key (time, pair rank,
-        // domain rank) is unique across shards — a pair lives in exactly
-        // one shard — so the trailing shard index only stabilises ties
-        // *within* a shard, preserving each file's own order.
-        let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
-            BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some((_, r)) = &c.head {
-                let (at, rank, domain) = key(r)?;
-                heap.push(Reverse((at, rank, domain, i as u32)));
-            }
-        }
-
-        let jsonl_path = self.dir.join(CAMPAIGN_FILE);
-        let tmp = jsonl_path.with_extension("jsonl.tmp");
-        let out_file = std::fs::File::create(&tmp)
-            .map_err(|e| CheckpointError::Io(format!("create {}: {e}", tmp.display())))?;
-        let mut out = std::io::BufWriter::new(out_file);
-        let mut registry = MetricsRegistry::new();
-        let mut records = 0u64;
+        // Install the sidecars first, so a bad one fails before any output
+        // is written: aggregate cells (every pair exactly once, in
+        // pair-index order), health cells, metrics cells and
+        // retry-exhaustion events.
+        let mut aggregates = CampaignAggregates::for_plans(&self.plans);
+        let mut health = HealthSeries::for_plans(&self.plans);
+        let mut daily_probes = vec![0u64; self.plans.len()];
+        let mut metric_cells: Vec<CellSnapshot> = Vec::new();
         // Sim-class journal events, collected here and recorded in one
-        // canonical order after the merge (so the journal is independent
-        // of shard execution interleaving).
+        // canonical order at the end (so the journal is independent of
+        // shard execution interleaving).
         let mut events: Vec<JournalEvent> = Vec::new();
         let journal_on = journal.is_enabled();
-        while let Some(Reverse((_, _, _, i))) = heap.pop() {
-            let path = self.shard_path(i);
-            let cursor = &mut cursors[i as usize];
-            let (line, record) = match cursor.head.take() {
-                Some(h) => h,
-                None => {
-                    return Err(CheckpointError::ShardData(format!(
-                        "merge cursor for {} lost its head",
-                        path.display()
-                    )))
-                }
-            };
-            cursor.last_at = record.at.as_nanos();
-            observe_record(&mut registry, &record);
+        let mut installed = 0usize;
+        for i in 0..self.shards {
+            let path = self.shard_file(i, "state");
+            let sidecar = ShardSidecar::load(&path)?;
+            let range = self.shard_range(i);
+            let foreign = |pair: u32| !range.contains(&(pair as usize));
+            if sidecar.shard != i
+                || sidecar.pairs.iter().any(|p| foreign(p.pair))
+                || sidecar.health.iter().any(|h| foreign(h.pair))
+            {
+                return Err(CheckpointError::ShardData(format!(
+                    "{} holds state for pairs outside shard {i}",
+                    path.display()
+                )));
+            }
+            for p in &sidecar.pairs {
+                aggregates.install(p).map_err(CheckpointError::ShardData)?;
+            }
+            installed += sidecar.pairs.len();
+            for h in sidecar.health {
+                daily_probes[h.pair as usize] += h.cell.probes();
+                health.install(h.pair, h.day, h.cell);
+            }
+            metric_cells.extend(sidecar.metrics.cells);
             if journal_on {
-                if let (ProbeOutcome::Failure { .. }, Some(retry)) =
-                    (&record.outcome, &record.retry)
-                {
-                    if retry.exhausted() {
-                        events.push(JournalEvent {
-                            at: record.at.as_nanos(),
-                            level: EventLevel::Warn,
-                            class: obs::EventClass::Sim,
-                            code: codes::RETRY_EXHAUSTED,
-                            data: EventData {
-                                resolver: Some(record.resolver_id()),
-                                vantage: Some(record.vantage_id()),
-                                count: Some(retry.attempts as u64),
-                                ..EventData::default()
-                            },
-                        });
-                    }
-                }
-            }
-            out.write_all(line.as_bytes())
-                .and_then(|_| out.write_all(b"\n"))
-                .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
-            records += 1;
-            advance_cursor(cursor, &path)?;
-            if let Some((_, r)) = &cursor.head {
-                let (at, rank, domain) = key(r)?;
-                heap.push(Reverse((at, rank, domain, i)));
+                events.extend(sidecar.exhausted.iter().map(|e| JournalEvent {
+                    at: e.at,
+                    level: EventLevel::Warn,
+                    class: obs::EventClass::Sim,
+                    code: codes::RETRY_EXHAUSTED,
+                    data: EventData {
+                        resolver: Some(e.resolver),
+                        vantage: Some(e.vantage),
+                        count: Some(e.attempts as u64),
+                        ..EventData::default()
+                    },
+                }));
             }
         }
-        out.flush()
-            .map_err(|e| CheckpointError::Io(format!("flush {}: {e}", tmp.display())))?;
-        drop(out);
-        std::fs::rename(&tmp, &jsonl_path)
-            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", jsonl_path.display())))?;
-        run.records_merged.add(records);
-
-        // Install the checkpointed aggregate cells — every pair exactly
-        // once, in pair-index order.
-        let mut aggregates = CampaignAggregates::for_campaign(self.campaign);
-        let mut installed = 0u32;
-        for state in &manifest.states {
-            if let ShardState::Complete(c) = state {
-                for p in &c.pairs {
-                    aggregates.install(p).map_err(CheckpointError::ShardData)?;
-                    installed += 1;
-                }
-            }
-        }
-        if installed != plans.len() as u32 {
+        if installed != self.plans.len() {
             return Err(CheckpointError::ShardData(format!(
-                "manifest holds {installed} pair cells, campaign has {}",
-                plans.len()
+                "sidecars hold {installed} pair cells, campaign has {}",
+                self.plans.len()
             )));
         }
-
-        // Install the checkpointed health cells and cross-validate them
-        // against the pair aggregates: every pair's day cells must account
-        // for exactly the probes its aggregate cell saw.
-        let mut health = HealthSeries::for_campaign(self.campaign);
-        for state in &manifest.states {
-            if let ShardState::Complete(c) = state {
-                for h in &c.health {
-                    health.install(h.pair, h.day, h.cell.clone());
-                }
-            }
-        }
-        for p in aggregates.pairs() {
-            let daily = health.pair_probes(p.pair);
+        // Every pair's day cells must account for exactly the probes its
+        // aggregate cell saw.
+        for (p, &daily) in aggregates.pairs().iter().zip(&daily_probes) {
             let total = p.cell.availability.total();
             if daily != total {
                 return Err(CheckpointError::ShardData(format!(
@@ -748,7 +675,76 @@ impl<'a> ShardedRunner<'a> {
                 )));
             }
         }
+        // The union of the shard registries: each cell belongs to one
+        // shard, so a key seen twice is corrupt state.
+        metric_cells.sort_by(|a, b| a.key.cmp(&b.key));
+        if let Some(w) = metric_cells.windows(2).find(|w| w[0].key == w[1].key) {
+            return Err(CheckpointError::ShardData(format!(
+                "metrics cell ({}, {}, {}) appears in two shards",
+                w[0].key.resolver, w[0].key.vantage, w[0].key.protocol
+            )));
+        }
+        let metrics = MetricsSnapshot {
+            cells: metric_cells,
+        };
         let drift = detect_drift(&health.resolver_rows(), &DriftConfig::default());
+
+        // Pair merge rank → owning shard, to check every key-index entry
+        // names a pair of its own shard.
+        let mut owner = vec![u32::MAX; self.plans.len()];
+        for shard in 0..self.shards {
+            for p in &self.plans[self.shard_range(shard)] {
+                owner[p.order as usize] = shard;
+            }
+        }
+        let domains = self.campaign.config().domains.len() as u32;
+
+        let mut cursors = Vec::with_capacity(complete.len());
+        for (i, c) in complete.iter().enumerate() {
+            let mut cursor = MergeCursor::open(self, i as u32, c)?;
+            cursor.advance(&owner, domains)?;
+            cursors.push(cursor);
+        }
+
+        // Min-heap over shard heads. The record key (time, pair rank,
+        // domain rank) is unique across shards — a pair lives in exactly
+        // one shard — so the trailing shard index only stabilises ties
+        // *within* a shard, preserving each file's own order.
+        let mut heap: BinaryHeap<Reverse<(u64, u32, u32, u32)>> =
+            BinaryHeap::with_capacity(cursors.len());
+        for (i, c) in cursors.iter().enumerate() {
+            if let Some(e) = &c.head {
+                heap.push(Reverse((e.at, e.pair, e.domain, i as u32)));
+            }
+        }
+
+        let jsonl_path = self.dir.join(CAMPAIGN_FILE);
+        let tmp = jsonl_path.with_extension("jsonl.tmp");
+        let out_file = File::create(&tmp)
+            .map_err(|e| CheckpointError::Io(format!("create {}: {e}", tmp.display())))?;
+        let mut out = std::io::BufWriter::new(out_file);
+        let mut line = Vec::new();
+        let mut records = 0u64;
+        while let Some(Reverse((_, _, _, i))) = heap.pop() {
+            let cursor = &mut cursors[i as usize];
+            cursor.copy_head(&mut line)?;
+            out.write_all(&line)
+                .map_err(|e| CheckpointError::Io(format!("write {}: {e}", tmp.display())))?;
+            records += 1;
+            cursor.advance(&owner, domains)?;
+            if let Some(e) = &cursor.head {
+                heap.push(Reverse((e.at, e.pair, e.domain, i)));
+            }
+        }
+        for cursor in &cursors {
+            cursor.finish()?;
+        }
+        out.flush()
+            .map_err(|e| CheckpointError::Io(format!("flush {}: {e}", tmp.display())))?;
+        drop(out);
+        std::fs::rename(&tmp, &jsonl_path)
+            .map_err(|e| CheckpointError::Io(format!("rename to {}: {e}", jsonl_path.display())))?;
+        run.records_merged.add(records);
 
         // Shard spans, recorded in shard-index order so the log is
         // independent of execution interleaving.
@@ -758,33 +754,31 @@ impl<'a> ShardedRunner<'a> {
         }
 
         if journal_on {
-            // Shard lifecycle + checkpoint traffic, from the merge
-            // cursors' simulated extents and the manifest.
-            for (i, c) in cursors.iter().enumerate() {
-                if let ShardState::Complete(ckpt) = &manifest.states[i] {
-                    let shard = i as u32;
-                    events.push(JournalEvent {
-                        at: c.first_at,
-                        level: EventLevel::Info,
-                        class: obs::EventClass::Sim,
-                        code: codes::SHARD_START,
-                        data: EventData::shard(shard),
-                    });
-                    events.push(JournalEvent {
-                        at: c.last_at,
-                        level: EventLevel::Info,
-                        class: obs::EventClass::Sim,
-                        code: codes::SHARD_FINISH,
-                        data: EventData::shard(shard).with_count(ckpt.records),
-                    });
-                    events.push(JournalEvent {
-                        at: c.last_at,
-                        level: EventLevel::Debug,
-                        class: obs::EventClass::Sim,
-                        code: codes::CHECKPOINT_STORE,
-                        data: EventData::shard(shard).with_count(ckpt.bytes),
-                    });
-                }
+            // Shard lifecycle + checkpoint traffic, from the first and
+            // last key of each index and the manifest.
+            for (c, ckpt) in cursors.iter().zip(&complete) {
+                let shard = ckpt.shard;
+                events.push(JournalEvent {
+                    at: c.first_at,
+                    level: EventLevel::Info,
+                    class: obs::EventClass::Sim,
+                    code: codes::SHARD_START,
+                    data: EventData::shard(shard),
+                });
+                events.push(JournalEvent {
+                    at: c.last_at,
+                    level: EventLevel::Info,
+                    class: obs::EventClass::Sim,
+                    code: codes::SHARD_FINISH,
+                    data: EventData::shard(shard).with_count(ckpt.records),
+                });
+                events.push(JournalEvent {
+                    at: c.last_at,
+                    level: EventLevel::Debug,
+                    class: obs::EventClass::Sim,
+                    code: codes::CHECKPOINT_STORE,
+                    data: EventData::shard(shard).with_count(ckpt.data.bytes),
+                });
             }
             // Fault-plan windows, straight from the configuration.
             for f in &self.campaign.config().faults.events {
@@ -850,7 +844,7 @@ impl<'a> ShardedRunner<'a> {
         Ok(ShardedOutcome {
             jsonl_path,
             records,
-            metrics: registry.snapshot(),
+            metrics,
             aggregates,
             run,
             spans,
@@ -864,5 +858,143 @@ impl<'a> ShardedRunner<'a> {
     /// Equivalent to [`run`](Self::run) with one thread.
     pub fn finish(&self) -> Result<ShardedOutcome, CheckpointError> {
         self.run(1)
+    }
+}
+
+/// One shard's read position during assembly: its key index and data
+/// file, advanced in step. Each key-index entry is checked as it is read
+/// (order, owning shard, domain rank, running byte total), and
+/// [`finish`](Self::finish) checks the byte total against the manifest.
+struct MergeCursor {
+    shard: u32,
+    keys_path: PathBuf,
+    data_path: PathBuf,
+    keys: BufReader<File>,
+    data: BufReader<File>,
+    /// Records and data bytes the manifest recorded for this shard.
+    records: u64,
+    data_bytes: u64,
+    /// The entry whose line is next to copy.
+    head: Option<KeyEntry>,
+    /// Merge key of the last entry read, for the order check.
+    last_key: Option<(u64, u32, u32)>,
+    /// Entries read and line bytes claimed so far.
+    entries: u64,
+    claimed: u64,
+    /// Simulated extent of the shard: first and last record times.
+    first_at: u64,
+    last_at: u64,
+}
+
+impl MergeCursor {
+    fn open(
+        runner: &ShardedRunner<'_>,
+        shard: u32,
+        c: &ShardCheckpoint,
+    ) -> Result<MergeCursor, CheckpointError> {
+        let open = |path: &Path| {
+            File::open(path)
+                .map(BufReader::new)
+                .map_err(|e| CheckpointError::ShardData(format!("open {}: {e}", path.display())))
+        };
+        let keys_path = runner.shard_file(shard, "keys");
+        let data_path = runner.shard_file(shard, "jsonl");
+        Ok(MergeCursor {
+            shard,
+            keys: open(&keys_path)?,
+            data: open(&data_path)?,
+            keys_path,
+            data_path,
+            records: c.records,
+            data_bytes: c.data.bytes,
+            head: None,
+            last_key: None,
+            entries: 0,
+            claimed: 0,
+            first_at: 0,
+            last_at: 0,
+        })
+    }
+
+    fn corrupt(&self, what: String) -> CheckpointError {
+        CheckpointError::ShardData(format!("{}: {what}", self.keys_path.display()))
+    }
+
+    /// Reads the next key-index entry into `head` (`None` once all the
+    /// shard's records are read). `owner[rank]` is the shard owning the
+    /// pair with merge rank `rank`.
+    fn advance(&mut self, owner: &[u32], domains: u32) -> Result<(), CheckpointError> {
+        if self.entries == self.records {
+            self.head = None;
+            return Ok(());
+        }
+        let mut buf = [0u8; KEY_ENTRY_BYTES];
+        self.keys.read_exact(&mut buf).map_err(|e| {
+            self.corrupt(format!(
+                "entry {} of {} unreadable: {e}",
+                self.entries, self.records
+            ))
+        })?;
+        let e = KeyEntry::from_bytes(&buf);
+        if owner.get(e.pair as usize) != Some(&self.shard) {
+            return Err(self.corrupt(format!(
+                "entry {} names pair rank {} outside shard {}",
+                self.entries, e.pair, self.shard
+            )));
+        }
+        if e.domain >= domains {
+            return Err(self.corrupt(format!(
+                "entry {} names domain rank {} of {domains}",
+                self.entries, e.domain
+            )));
+        }
+        if self.last_key.is_some_and(|k| e.merge_key() < k) {
+            return Err(self.corrupt(format!("entry {} is out of order", self.entries)));
+        }
+        self.claimed += e.len as u64;
+        if self.claimed > self.data_bytes {
+            return Err(self.corrupt(format!(
+                "line lengths exceed the {}-byte data file",
+                self.data_bytes
+            )));
+        }
+        if self.entries == 0 {
+            self.first_at = e.at;
+        }
+        self.last_at = e.at;
+        self.last_key = Some(e.merge_key());
+        self.entries += 1;
+        self.head = Some(e);
+        Ok(())
+    }
+
+    /// Reads the head entry's line (newline included) into `line`.
+    fn copy_head(&mut self, line: &mut Vec<u8>) -> Result<(), CheckpointError> {
+        let len = self.head.take().map_or(0, |e| e.len as usize);
+        line.resize(len, 0);
+        self.data.read_exact(line).map_err(|e| {
+            CheckpointError::ShardData(format!("read {}: {e}", self.data_path.display()))
+        })?;
+        if line.last() != Some(&b'\n') {
+            return Err(self.corrupt(format!(
+                "entry {} does not end on a line boundary of {}",
+                self.entries - 1,
+                self.data_path.display()
+            )));
+        }
+        Ok(())
+    }
+
+    /// After the merge: the line lengths must sum to the data file's
+    /// size. (The entry count is bounded by the manifest's record count,
+    /// and resume checks the key index holds exactly that many entries.)
+    fn finish(&self) -> Result<(), CheckpointError> {
+        if self.claimed != self.data_bytes {
+            return Err(self.corrupt(format!(
+                "line lengths sum to {} bytes, the manifest says {}",
+                self.claimed, self.data_bytes
+            )));
+        }
+        Ok(())
     }
 }

@@ -1,16 +1,18 @@
-//! Property tests for the checkpoint codec: manifests built from
-//! arbitrary shard states must encode/decode exactly, and the encoding
-//! must be a fixed point (encode ∘ decode ∘ encode = encode).
+//! Property tests for the checkpoint codec: manifests and shard sidecars
+//! built from arbitrary state must encode/decode exactly, the encoding
+//! must be a fixed point (encode ∘ decode ∘ encode = encode), and a
+//! sidecar cut short anywhere must be rejected.
 
 use proptest::prelude::*;
 
 use measure::aggregate::{AggregateCell, PairAggregate};
 use measure::checkpoint::{
     availability_from_json, availability_to_json, pair_day_health_from_json,
-    pair_day_health_to_json, sketch_from_json, sketch_to_json, Manifest, PairDayHealth,
-    ShardCheckpoint, ShardState,
+    pair_day_health_to_json, sketch_from_json, sketch_to_json, FileDigest, Manifest, PairDayHealth,
+    RetryExhaustion, ShardCheckpoint, ShardSidecar, ShardState,
 };
 use measure::{HealthCell, Label};
+use obs::{MetricsRegistry, Phase};
 
 use edns_stats::{Availability, LatencySketch};
 
@@ -82,29 +84,133 @@ fn arb_pair_day_health() -> impl Strategy<Value = PairDayHealth> {
     )
 }
 
+fn arb_digest() -> impl Strategy<Value = FileDigest> {
+    (0u64..100_000_000, any::<u64>()).prop_map(|(bytes, checksum)| FileDigest { bytes, checksum })
+}
+
 fn arb_state() -> impl Strategy<Value = ShardState> {
     (
         any::<bool>(),
         0u64..1_000_000,
-        0u64..100_000_000,
-        any::<u64>(),
-        proptest::collection::vec(arb_pair(), 0..5),
-        proptest::collection::vec(arb_pair_day_health(), 0..6),
+        arb_digest(),
+        arb_digest(),
+        arb_digest(),
     )
-        .prop_map(|(complete, records, bytes, checksum, pairs, health)| {
+        .prop_map(|(complete, records, data, keys, sidecar)| {
             if complete {
                 // The shard index is rewritten to the entry slot by the
                 // caller; 0 is a placeholder.
                 ShardState::Complete(ShardCheckpoint {
                     shard: 0,
                     records,
-                    bytes,
-                    checksum,
-                    pairs,
-                    health,
+                    data,
+                    keys,
+                    sidecar,
                 })
             } else {
                 ShardState::Pending
+            }
+        })
+}
+
+/// One observation folded into a metrics cell: which of four cells, and
+/// what happened.
+#[derive(Debug, Clone)]
+enum Observation {
+    Success {
+        ms: f64,
+        phase: usize,
+        cache_hit: bool,
+    },
+    Failure {
+        label: usize,
+    },
+    Ping(f64),
+    Retry {
+        phase: usize,
+        recovered: bool,
+    },
+}
+
+fn arb_observation() -> impl Strategy<Value = (usize, Observation)> {
+    let obs = prop_oneof![
+        (0.001f64..20_000.0, 0..Phase::COUNT, any::<bool>()).prop_map(|(ms, phase, cache_hit)| {
+            Observation::Success {
+                ms,
+                phase,
+                cache_hit,
+            }
+        }),
+        (0..ERROR_LABELS.len()).prop_map(|label| Observation::Failure { label }),
+        (0.001f64..500.0).prop_map(Observation::Ping),
+        (0..Phase::COUNT, any::<bool>())
+            .prop_map(|(phase, recovered)| Observation::Retry { phase, recovered }),
+    ];
+    (0usize..4, obs)
+}
+
+fn arb_sidecar() -> impl Strategy<Value = ShardSidecar> {
+    (
+        0u32..64,
+        proptest::collection::vec(arb_pair(), 0..4),
+        proptest::collection::vec(arb_pair_day_health(), 0..5),
+        proptest::collection::vec(arb_observation(), 0..60),
+        proptest::collection::vec((any::<u32>(), 1u32..8), 0..4),
+    )
+        .prop_map(|(shard, pairs, health, observations, exhausted)| {
+            const CELLS: [(&str, &str, &str); 4] = [
+                ("dns.google", "home-us-east", "doh"),
+                ("dns.google", "ec2-ohio", "doh"),
+                ("dns.quad9.net", "home-us-east", "dot"),
+                ("doh.ffmuc.net", "ec2-frankfurt", "doq"),
+            ];
+            let mut registry = MetricsRegistry::new();
+            for (cell, o) in observations {
+                let (resolver, vantage, protocol) = CELLS[cell];
+                let m = registry.cell(resolver, vantage, protocol);
+                m.probes.inc();
+                match o {
+                    Observation::Success {
+                        ms,
+                        phase,
+                        cache_hit,
+                    } => {
+                        m.successes.inc();
+                        if cache_hit {
+                            m.cache_hits.inc();
+                        }
+                        m.response_ms.observe(ms);
+                        m.last_response_ms.set(ms);
+                        m.phase_ms[phase].observe(ms / 3.0);
+                    }
+                    Observation::Failure { label } => {
+                        *m.errors.entry(ERROR_LABELS[label]).or_insert(0) += 1;
+                    }
+                    Observation::Ping(ms) => m.ping_ms.observe(ms),
+                    Observation::Retry { phase, recovered } => {
+                        m.retries_by_phase[phase].inc();
+                        if recovered {
+                            m.recovered.inc();
+                        } else {
+                            m.exhausted.inc();
+                        }
+                    }
+                }
+            }
+            ShardSidecar {
+                shard,
+                pairs,
+                health,
+                metrics: registry.snapshot(),
+                exhausted: exhausted
+                    .into_iter()
+                    .map(|(at, attempts)| RetryExhaustion {
+                        at: at as u64 * 1_000_003,
+                        resolver: Label::intern("dns.quad9.net"),
+                        vantage: Label::intern("home-us-east"),
+                        attempts,
+                    })
+                    .collect(),
             }
         })
 }
@@ -164,6 +270,29 @@ proptest! {
     fn pair_day_health_json_round_trips(h in arb_pair_day_health()) {
         let back = pair_day_health_from_json(&pair_day_health_to_json(&h)).unwrap();
         prop_assert_eq!(back, h);
+    }
+
+    #[test]
+    fn sidecar_round_trips_bit_exactly_and_rejects_truncation(s in arb_sidecar()) {
+        let text = s.encode();
+        let back = ShardSidecar::decode(&text).unwrap();
+        prop_assert_eq!(&back, &s);
+        prop_assert_eq!(back.encode(), text.clone());
+        for (b, o) in back.metrics.cells.iter().zip(&s.metrics.cells) {
+            let bits = |m: &obs::CellMetrics| -> Vec<u64> {
+                [&m.response_ms, &m.ping_ms]
+                    .into_iter()
+                    .chain(&m.phase_ms)
+                    .map(|h| h.sum().to_bits())
+                    .chain([m.last_response_ms.get().to_bits()])
+                    .collect()
+            };
+            prop_assert_eq!(bits(&b.metrics), bits(&o.metrics));
+        }
+        // Every strict prefix is a torn write and must be rejected.
+        for cut in 0..text.len() {
+            prop_assert!(ShardSidecar::decode(&text[..cut]).is_err(), "prefix {}", cut);
+        }
     }
 
     #[test]

@@ -2,12 +2,20 @@
 //! for multiple seeds and shard counts, the one-shot `run()` output must
 //! be **byte-identical** to a sharded run — and to a campaign killed and
 //! resumed at *every* shard boundary. Compares the final JSONL bytes, the
-//! metrics snapshot render, and the bounded-memory aggregate cells.
+//! metrics snapshot (cell for cell, histogram sums and gauges bit for
+//! bit), and the bounded-memory aggregate cells. Under faults and `dig`
+//! retries it also compares the health series, drift findings and
+//! journal export, all of which assembly installs from the shard
+//! sidecars rather than re-deriving from records.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use measure::{metrics_of, Campaign, CampaignAggregates, CampaignConfig, ShardedRunner};
+use measure::{
+    detect_drift, metrics_of, Campaign, CampaignAggregates, CampaignConfig, DriftConfig,
+    HealthSeries, ShardedRunner,
+};
+use obs::MetricsSnapshot;
 
 const HOSTS: [&str; 4] = [
     "dns.google",
@@ -38,16 +46,36 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 struct OneShot {
     jsonl: String,
-    metrics: String,
+    metrics: MetricsSnapshot,
     aggregates: CampaignAggregates,
+    health: HealthSeries,
 }
 
 fn one_shot(c: &Campaign) -> OneShot {
     let result = c.run();
     OneShot {
         jsonl: result.to_json_lines(),
-        metrics: metrics_of(&result.records).render(),
+        metrics: metrics_of(&result.records),
         aggregates: CampaignAggregates::of(c, &result.records),
+        health: HealthSeries::of(c, &result.records),
+    }
+}
+
+/// `==` on the snapshot, plus the float fields compared by bit pattern
+/// (`==` would accept `-0.0` for `0.0`).
+fn assert_metrics_bit_identical(got: &MetricsSnapshot, want: &MetricsSnapshot, context: &str) {
+    assert_eq!(got, want, "metrics snapshot diverged: {context}");
+    for (g, w) in got.cells.iter().zip(&want.cells) {
+        let (g, w) = (&g.metrics, &w.metrics);
+        let sums = |m: &obs::CellMetrics| -> Vec<u64> {
+            [&m.response_ms, &m.ping_ms]
+                .into_iter()
+                .chain(&m.phase_ms)
+                .map(|h| h.sum().to_bits())
+                .chain([m.last_response_ms.get().to_bits()])
+                .collect()
+        };
+        assert_eq!(sums(g), sums(w), "metrics float bits diverged: {context}");
     }
 }
 
@@ -59,11 +87,7 @@ fn assert_matches_one_shot(
 ) {
     let sharded = std::fs::read_to_string(&outcome.jsonl_path).unwrap();
     assert_eq!(sharded, reference.jsonl, "JSONL bytes diverged: {context}");
-    assert_eq!(
-        outcome.metrics.render(),
-        reference.metrics,
-        "metrics snapshot diverged: {context}"
-    );
+    assert_metrics_bit_identical(&outcome.metrics, &reference.metrics, context);
     assert_eq!(
         &outcome.aggregates, &reference.aggregates,
         "aggregate cells diverged: {context}"
@@ -142,6 +166,54 @@ fn differential_holds_under_faults_and_retries() {
     let outcome = ShardedRunner::new(&c, 4, &dir).unwrap().run(2).unwrap();
     assert_matches_one_shot(&c, &reference, &outcome, "faulted campaign, resume at 2/4");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn recorder_state_survives_kill_and_resume_at_every_boundary_under_faults() {
+    // Faults plus `dig` retries produce failures, retry exhaustions and
+    // drift-prone days; the health series, drift findings and journal all
+    // come from the shard sidecars. Two days give the drift detector a
+    // series to work on.
+    let c = campaign(CampaignConfig::longitudinal(23, 2).with_default_faults());
+    let reference = one_shot(&c);
+    let shards = 4u32;
+    let dir = scratch_dir("recorder-oneshot");
+    let uninterrupted = ShardedRunner::new(&c, shards, &dir)
+        .unwrap()
+        .run(2)
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let journal = uninterrupted.journal.to_jsonl();
+    assert!(
+        journal.contains("retry_exhausted"),
+        "the faulted campaign must exhaust some retries"
+    );
+    let drift = detect_drift(&reference.health.resolver_rows(), &DriftConfig::default());
+    for stop_after in 0..=shards as usize {
+        let dir = scratch_dir("recorder-resume");
+        ShardedRunner::new(&c, shards, &dir)
+            .unwrap()
+            .advance(stop_after)
+            .unwrap();
+        let outcome = ShardedRunner::new(&c, shards, &dir)
+            .unwrap()
+            .run(2)
+            .unwrap();
+        let context = format!("faulted, killed after {stop_after}/{shards} shards");
+        assert_matches_one_shot(&c, &reference, &outcome, &context);
+        assert_eq!(
+            outcome.health.to_jsonl(),
+            reference.health.to_jsonl(),
+            "health series diverged: {context}"
+        );
+        assert_eq!(outcome.drift, drift, "drift findings diverged: {context}");
+        assert_eq!(
+            outcome.journal.to_jsonl(),
+            journal,
+            "journal export diverged: {context}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

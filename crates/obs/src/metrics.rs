@@ -75,6 +75,17 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    /// Rebuilds a histogram from its persisted parts: the per-bucket counts
+    /// (last slot is the +inf bucket) and the exact sum of observations.
+    /// The observation count is the bucket total.
+    pub fn from_parts(counts: [u64; LATENCY_BUCKETS_MS.len() + 1], sum: f64) -> Histogram {
+        Histogram {
+            counts,
+            count: counts.iter().sum(),
+            sum,
+        }
+    }
+
     /// Records one observation in milliseconds.
     pub fn observe(&mut self, ms: f64) {
         let idx = LATENCY_BUCKETS_MS

@@ -30,8 +30,10 @@ pub struct ShardRunMetrics {
     /// Probe records completed campaign-wide (this run's executed shards
     /// plus resumed checkpoints — equals the one-shot total after resume).
     pub records_produced: Counter,
-    /// Bytes of shard checkpoint data written by this run (process-local
-    /// I/O telemetry; a resume does not inherit earlier runs' writes).
+    /// Manifest bytes written by this run: the size of each manifest
+    /// encoding its shard commits stored, summed over the commits. Shard
+    /// data files, key indexes and sidecars are not counted. Process-local
+    /// I/O telemetry; a resume does not inherit earlier runs' writes.
     pub checkpoint_bytes: Counter,
     /// Manifest rewrites performed by this run.
     pub manifest_writes: Counter,
